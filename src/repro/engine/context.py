@@ -31,6 +31,7 @@ isolated one in tests.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import calibration as _calibration
@@ -89,6 +90,18 @@ def _plain_queueing_key(queue_kw: Optional[Mapping[str, Any]]) -> Any:
             for k, v in queue_kw.items()
         )
     )
+
+
+def _weak_emit(ctx: "RunContext") -> Callable[..., None]:
+    """``ctx.emit`` through a weak reference: a no-op once ``ctx`` is gone."""
+    ref = weakref.ref(ctx)
+
+    def emit(event: str, **payload: Any) -> None:
+        alive = ref()
+        if alive is not None:
+            alive.emit(event, **payload)
+
+    return emit
 
 
 class RunContext:
@@ -166,7 +179,10 @@ class RunContext:
         )
         self.faults: Optional[FaultInjector] = normalize_injector(faults)
         if self.cache.on_event is None:
-            self.cache.on_event = self.emit
+            # Weakly: a cache holding ``self.emit`` would make a
+            # context <-> cache cycle that keeps every finished run's
+            # artifacts alive until a cyclic GC pass.
+            self.cache.on_event = _weak_emit(self)
         if self.faults is not None and self.cache.fault_injector is None:
             self.cache.fault_injector = self.faults
         self._extra_nodes: Dict[str, NodeSpec] = {}

@@ -169,6 +169,9 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
     generator ``finally`` blocks can both run it without coordination.
     """
     procs = list((getattr(pool, "_processes", None) or {}).values())
+    # ``shutdown`` drops these references; keep them to finish the job.
+    manager = getattr(pool, "_executor_manager_thread", None)
+    results = getattr(pool, "_result_queue", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
@@ -180,6 +183,15 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
             proc.terminate()
     for proc in procs:
         proc.join(timeout=5.0)
+    # A worker killed mid-send leaves a partial result in the pipe, and
+    # the manager thread blocks reading the rest: this process holds the
+    # pipe's write end too, so no EOF ever comes.  Interpreter exit joins
+    # that (non-daemon) thread and would hang.  With the workers gone,
+    # closing our write end turns the stall into EOF; then join it.
+    if results is not None:
+        results._writer.close()
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 def _try_create_pool(

@@ -22,6 +22,8 @@ executes a scenario end-to-end.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -94,6 +96,20 @@ class NodeGroup:
         return cls(**data)
 
 
+def _strict_int(value: Any, name: str) -> int:
+    """``value`` as an ``int``, accepting only integers and finite
+    integral floats (``2.0``, and ``1e3`` from a JSON file).
+
+    Booleans, strings, fractional floats and non-finite numbers raise
+    ``ValueError``, where ``int()`` would coerce or overflow.
+    """
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate and canonicalize a ``Scenario.search`` mapping.
 
@@ -118,12 +134,12 @@ def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
         )
     budget = search.get("budget_rows")
     if budget is not None:
-        budget = int(budget)
+        budget = _strict_int(budget, "search budget_rows")
         if budget < 1:
             raise ValueError("search budget_rows must be at least one row")
     batch = search.get("batch_rows")
     if batch is not None:
-        batch = int(batch)
+        batch = _strict_int(batch, "search batch_rows")
         if batch < 1:
             raise ValueError("search batch_rows must be at least one row")
     seed = search.get("seed")
@@ -131,7 +147,7 @@ def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "strategy": strategy,
         "budget_rows": budget,
-        "seed": None if seed is None else int(seed),
+        "seed": None if seed is None else _strict_int(seed, "search seed"),
         "batch_rows": batch,
         "options": options,
     }

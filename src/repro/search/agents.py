@@ -190,7 +190,7 @@ class GeneticSource(_SeededSource):
         pool = self._population + self._archive
         t = np.asarray([p[1] for p in pool])
         e = np.asarray([p[2] for p in pool])
-        ranks = _pareto_ranks(t, e)
+        ranks = _pareto_ranks(t, e).tolist()
         attempts = 0
         limit = 25 * max_rows
         while len(genomes) < max_rows - n_immigrants and attempts < limit:
@@ -211,13 +211,19 @@ class GeneticSource(_SeededSource):
         self._mark_seen(genomes)
         return self._batch(genomes)
 
-    def _tournament(self, ranks: np.ndarray, size: int = 2) -> int:
-        picks = self.rng.integers(ranks.size, size=size)
-        return int(min(picks, key=lambda i: (ranks[i], i)))
+    def _tournament(self, ranks: List[int]) -> int:
+        """The better-ranked of two uniform picks (lower index on ties)."""
+        # Two scalar draws: the same two values as one ``size=2`` draw,
+        # at half its cost.
+        n = len(ranks)
+        a, b = int(self.rng.integers(n)), int(self.rng.integers(n))
+        return a if (ranks[a], a) <= (ranks[b], b) else b
 
     def _crossover(self, a: Genome, b: Genome) -> Genome:
+        # One draw per gene, in gene order, as one vector draw.
         return tuple(
-            a[g] if self.rng.random() < 0.5 else b[g] for g in range(len(a))
+            x if u < 0.5 else y
+            for x, y, u in zip(a, b, self.rng.random(len(a)).tolist())
         )
 
     # ---- feedback ------------------------------------------------------
@@ -225,10 +231,11 @@ class GeneticSource(_SeededSource):
     def observe(self, batch, times_s, energies_j) -> None:
         genomes = batch.meta or ()
         self._mark_seen(genomes)
-        evaluated = [
-            (g, float(t), float(e))
-            for g, t, e in zip(genomes, times_s, energies_j)
-        ]
+        evaluated = list(zip(
+            genomes,
+            np.asarray(times_s, dtype=float).tolist(),
+            np.asarray(energies_j, dtype=float).tolist(),
+        ))
         self._population.extend(evaluated)
         self._population = self._population[-4 * self.population_size:]
         merged = self._archive + evaluated

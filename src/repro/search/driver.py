@@ -74,15 +74,13 @@ EvaluateFn = Callable[[np.ndarray, np.ndarray, np.ndarray], ConfigSpaceResult]
 
 
 def row_keys(n: np.ndarray, cores: np.ndarray, f: np.ndarray) -> List[RowKey]:
-    """Hashable per-row identities of candidate columns."""
-    return [
-        (
-            tuple(int(x) for x in n[:, i]),
-            tuple(int(x) for x in cores[:, i]),
-            tuple(float(x) for x in f[:, i]),
-        )
-        for i in range(n.shape[1])
-    ]
+    """Hashable per-row identities of candidate columns: tuples of
+    Python ints and floats, the format checkpoints store."""
+    return list(zip(
+        map(tuple, np.asarray(n, dtype=np.int64).T.tolist()),
+        map(tuple, np.asarray(cores, dtype=np.int64).T.tolist()),
+        map(tuple, np.asarray(f, dtype=float).T.tolist()),
+    ))
 
 
 @dataclass
@@ -344,8 +342,9 @@ def run_search(
                 "candidates"
             )
         reducers.fold(data)
-        for i, key in enumerate(keys):
-            seen[key] = (float(data.times_s[i]), float(data.energies_j[i]))
+        seen.update(
+            zip(keys, zip(data.times_s.tolist(), data.energies_j.tolist()))
+        )
         nadir[0] = max(nadir[0], float(data.times_s.max()))
         nadir[1] = max(nadir[1], float(data.energies_j.max()))
         return data

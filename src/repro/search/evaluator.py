@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import GroupSpec, node_settings
+from repro.core.configuration import GroupSpec
 from repro.core.evaluate import (
     ConfigSpaceResult,
     _group_energy,
@@ -79,55 +79,59 @@ def evaluate_candidate_rows(
         _setting_grid(gs.spec, _params_for(params, gs.spec.name), gs.settings)
         for gs in group_specs
     ]
-    # Exact (cores, f) -> setting-index lookup per group.  Settings come
-    # from the same node_settings lists the grids were built from, so
-    # float equality is exact.
-    setting_index = []
-    for g, gs in enumerate(group_specs):
-        setting_index.append(
-            {
-                (int(c), float(fr)): s
-                for s, (c, fr) in enumerate(node_settings(gs.spec, gs.settings))
-            }
+    # Setting index of every present row.  Each group's distinct (cores,
+    # f) pairs are looked up once in an exact table built from the same
+    # node_settings list as the grid, so float equality is exact.
+    s_idx = np.zeros(n.shape, dtype=np.int64)
+    for g, (gs, grid) in enumerate(zip(group_specs, grids)):
+        lookup = {
+            key: s
+            for s, key in enumerate(
+                zip(grid.cores.tolist(), grid.f_ghz.tolist())
+            )
+        }
+        rows = present_rows[g]
+        # One complex number per (cores, f) pair: exact in both parts,
+        # and a native sort, unlike a unique over (cores, f) records.
+        pairs, inverse = np.unique(
+            cores[g, rows] + 1j * f[g, rows], return_inverse=True
         )
+        table = np.empty(len(pairs), dtype=np.int64)
+        for j, pair in enumerate(pairs.tolist()):
+            key = (int(pair.real), pair.imag)
+            try:
+                table[j] = lookup[key]
+            except KeyError:
+                raise ValueError(
+                    f"candidate setting {key} is not admissible for "
+                    f"node type {gs.spec.name!r}"
+                ) from None
+        s_idx[g, rows] = table[inverse]
 
     times = np.zeros(b, dtype=float)
     energies = np.zeros(b, dtype=float)
     units_out = np.zeros((len(group_specs), b), dtype=float)
-    cores_out = cores.copy()
-    f_out = f.copy()
-    for g, gs in enumerate(group_specs):
-        absent = ~present_rows[g]
-        cores_out[g, absent] = gs.spec.cores.count
-        f_out[g, absent] = gs.spec.cores.fmax_ghz
+    cores_out = np.where(
+        present_rows, cores, [[gs.spec.cores.count] for gs in group_specs]
+    )
+    f_out = np.where(
+        present_rows, f, [[gs.spec.cores.fmax_ghz] for gs in group_specs]
+    )
 
-    # Group rows by presence pattern; each pattern block goes through the
-    # same dispatch as one exhaustive mask block.
-    patterns: dict = {}
-    for i in range(b):
-        key = tuple(int(x) for x in np.flatnonzero(present_rows[:, i]))
-        patterns.setdefault(key, []).append(i)
-
-    for present, row_list in patterns.items():
-        rows = np.asarray(row_list, dtype=np.int64)
+    # Group rows by presence pattern, packed as one bit per group; each
+    # pattern block goes through the same dispatch as one exhaustive
+    # mask block.
+    bits = np.arange(len(group_specs))[:, None]
+    packed = (present_rows.astype(np.int64) << bits).sum(axis=0)
+    codes, pattern_of = np.unique(packed, return_inverse=True)
+    for k, code in enumerate(codes.tolist()):
+        rows = np.flatnonzero(pattern_of == k)
+        present = [g for g in range(len(group_specs)) if code >> g & 1]
         gammas = []
         floors = []
-        s_idx = []
         for g in present:
-            idx = np.empty(rows.size, dtype=np.int64)
-            lookup = setting_index[g]
-            for j, i in enumerate(rows):
-                key = (int(cores[g, i]), float(f[g, i]))
-                try:
-                    idx[j] = lookup[key]
-                except KeyError:
-                    raise ValueError(
-                        f"candidate setting {key} is not admissible for "
-                        f"node type {group_specs[g].spec.name!r}"
-                    ) from None
-            s_idx.append(idx)
             n_g = n[g, rows].astype(float)
-            gammas.append(grids[g].slope_node[idx] / n_g)
+            gammas.append(grids[g].slope_node[s_idx[g, rows]] / n_g)
             floors.append(grids[g].floor_job_s / n_g)
 
         if len(present) == 1:
@@ -150,7 +154,7 @@ def evaluate_candidate_rows(
                 n[g, rows],
                 w[p],
                 time,
-                grids[g].k_joules_per_unit[s_idx[p]],
+                grids[g].k_joules_per_unit[s_idx[g, rows]],
                 grids[g].io_slope_node,
                 grids[g].floor_job_s,
                 grids[g].p_idle_w,

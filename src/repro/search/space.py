@@ -13,6 +13,8 @@ neighborhood moves, and decoding back to candidate columns.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -60,9 +62,30 @@ class SearchSpace:
         self.num_groups = len(self.group_specs)
         #: Exact row count of the full space.
         self.total_rows = count_space_rows(self.group_specs)
-        self._mask_rows = np.asarray(
+        # The mask CDF exactly as ``rng.choice(p=weights)`` builds it: a
+        # bisection of one ``rng.random()`` picks the index it would.
+        weights = np.asarray(
             [self.mask_rows(m) for m in self.masks], dtype=float
         )
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._mask_cdf: List[float] = cdf.tolist()
+        #: Per-group highest (count index, setting index); -1 for a
+        #: group with no positive count.
+        self._tops = [
+            (p.size - 1, len(s) - 1) for p, s in zip(self.pos, self.settings)
+        ]
+        # Decode tables; the last entry, which an absent gene's -1
+        # selects, is n = 0 with the spec's maximum cores and frequency.
+        self._n_table = [np.append(p, 0).astype(np.int64) for p in self.pos]
+        self._cores_table = [
+            np.asarray([c for c, _ in s] + [gs.spec.cores.count], np.int64)
+            for s, gs in zip(self.settings, self.group_specs)
+        ]
+        self._f_table = [
+            np.asarray([fr for _, fr in s] + [gs.spec.cores.fmax_ghz], float)
+            for s, gs in zip(self.settings, self.group_specs)
+        ]
 
     # ---- admissibility and counting ------------------------------------
 
@@ -99,20 +122,16 @@ class SearchSpace:
         row count, then a count and setting index uniformly per present
         group -- exactly a uniform draw over configurations.
         """
-        weights = self._mask_rows / self._mask_rows.sum()
-        mask = self.masks[int(rng.choice(len(self.masks), p=weights))]
-        genome: List[Gene] = []
-        for g in range(self.num_groups):
-            if g in mask:
-                genome.append(
-                    (
-                        int(rng.integers(self.pos[g].size)),
-                        int(rng.integers(len(self.settings[g]))),
-                    )
-                )
-            else:
-                genome.append(ABSENT)
-        return tuple(genome)
+        mask = self.masks[bisect.bisect_right(self._mask_cdf, rng.random())]
+        return tuple(
+            self._random_gene(g, rng) if g in mask else ABSENT
+            for g in range(self.num_groups)
+        )
+
+    def _random_gene(self, g: int, rng: np.random.Generator) -> Gene:
+        """A uniform present gene of group ``g``: count draw, then setting."""
+        top_c, top_s = self._tops[g]
+        return int(rng.integers(top_c + 1)), int(rng.integers(top_s + 1))
 
     def neighbor(self, genome: Genome, rng: np.random.Generator) -> Genome:
         """One admissible single-gene move away from ``genome``.
@@ -147,10 +166,7 @@ class SearchSpace:
         out = list(genome)
         ci, si = genome[g]
         if move == "wake":
-            out[g] = (
-                int(rng.integers(self.pos[g].size)),
-                int(rng.integers(len(self.settings[g]))),
-            )
+            out[g] = self._random_gene(g, rng)
         elif move == "drop":
             out[g] = ABSENT
         elif move == "count-":
@@ -200,34 +216,21 @@ class SearchSpace:
     def repair(self, genome: Genome, rng: np.random.Generator) -> Genome:
         """Coerce an arbitrary gene tuple into an admissible genome."""
         out: List[Gene] = []
-        for g, (ci, si) in enumerate(genome):
-            if (ci, si) == ABSENT:
-                if self.has_zero[g]:
-                    out.append(ABSENT)
-                else:
-                    out.append(
-                        (
-                            int(rng.integers(self.pos[g].size)),
-                            int(rng.integers(len(self.settings[g]))),
-                        )
-                    )
-                continue
-            if not self.pos[g].size:
-                out.append(ABSENT)
-                continue
-            out.append(
-                (
-                    int(np.clip(ci, 0, self.pos[g].size - 1)),
-                    int(np.clip(si, 0, len(self.settings[g]) - 1)),
+        for g, gene in enumerate(genome):
+            top_c, top_s = self._tops[g]
+            if gene == ABSENT:
+                out.append(
+                    ABSENT if self.has_zero[g] else self._random_gene(g, rng)
                 )
-            )
+            elif top_c < 0:
+                out.append(ABSENT)
+            else:
+                ci, si = gene
+                out.append((min(max(ci, 0), top_c), min(max(si, 0), top_s)))
         if all(gene == ABSENT for gene in out):
             candidates = [g for g in range(self.num_groups) if self.pos[g].size]
             g = candidates[int(rng.integers(len(candidates)))]
-            out[g] = (
-                int(rng.integers(self.pos[g].size)),
-                int(rng.integers(len(self.settings[g]))),
-            )
+            out[g] = self._random_gene(g, rng)
         return tuple(out)
 
     # ---- decoding ------------------------------------------------------
@@ -240,21 +243,13 @@ class SearchSpace:
         Absent groups follow the evaluator's convention: ``n = 0`` with
         the spec's maxima for cores/frequency.
         """
-        b = len(genomes)
-        k = self.num_groups
-        n = np.zeros((k, b), dtype=np.int64)
-        cores = np.empty((k, b), dtype=np.int64)
-        f = np.empty((k, b), dtype=float)
-        for i, genome in enumerate(genomes):
-            for g, (ci, si) in enumerate(genome):
-                if (ci, si) == ABSENT:
-                    cores[g, i] = self.group_specs[g].spec.cores.count
-                    f[g, i] = self.group_specs[g].spec.cores.fmax_ghz
-                else:
-                    n[g, i] = int(self.pos[g][ci])
-                    c, fr = self.settings[g][si]
-                    cores[g, i] = c
-                    f[g, i] = fr
+        genes = np.asarray(genomes, dtype=np.int64).reshape(
+            len(genomes), self.num_groups, 2
+        )
+        ci, si = genes[:, :, 0].T, genes[:, :, 1].T
+        n = np.stack([t[c] for t, c in zip(self._n_table, ci)])
+        cores = np.stack([t[s] for t, s in zip(self._cores_table, si)])
+        f = np.stack([t[s] for t, s in zip(self._f_table, si)])
         return n, cores, f
 
     def all_genomes(self) -> Iterator[Genome]:
@@ -277,11 +272,4 @@ class SearchSpace:
                     )
                 else:
                     axes.append([ABSENT])
-            yield from self._product(axes)
-
-    @staticmethod
-    def _product(axes: List[List[Gene]]) -> Iterator[Genome]:
-        import itertools
-
-        for combo in itertools.product(*axes):
-            yield tuple(combo)
+            yield from itertools.product(*axes)

@@ -6,6 +6,8 @@ verified by counting calls into the underlying core functions.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -128,3 +130,48 @@ class TestRegistriesAndSinks:
         ctx.space(ARM_CORTEX_A9, 2, AMD_K10, 2, params, 1e6)
         ctx.space(ARM_CORTEX_A9, 2, AMD_K10, 2, params, 1e6)  # cache hit: silent
         assert events.count("space.evaluated") == 1
+
+
+class TestRefcountRelease:
+    """A finished run is freed by reference counting alone: no
+    context <-> cache cycle keeps its artifacts alive until a GC pass."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"stages": ("frontier", "regions", "queueing")},
+            {"stages": ("frontier",), "space_mode": "streaming"},
+            {"stages": ("frontier",),
+             "search": {"strategy": "ga", "budget_rows": 200}},
+        ],
+    )
+    def test_dropped_context_and_result_are_freed_without_gc(self, extra):
+        gc.collect()
+        gc.disable()
+        try:
+            events = []
+            ctx = RunContext(
+                max_workers=1,
+                sinks=(lambda event, payload: events.append(event),),
+            )
+            result = run_scenario(
+                Scenario(workload="ep", max_a=2, max_b=2, **extra), ctx
+            )
+            # The weak callback still reaches the context's sinks.
+            ctx.cache.on_event("cache.quarantined", key="k", reason="probe")
+            assert "cache.quarantined" in events
+            refs = [weakref.ref(obj) for obj in (
+                ctx, ctx.cache, result, result.frontier,
+                result.space if result.space is not None else result.frontier,
+            )]
+            del ctx, result
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_shared_cache_outliving_its_context_stays_usable(self):
+        ctx = RunContext()
+        cache = ctx.cache
+        del ctx
+        cache.on_event("cache.quarantined", key="k", reason="r")  # no-op
+        assert RunContext(cache=cache).cache is cache

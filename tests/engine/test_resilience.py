@@ -10,8 +10,12 @@ function of its arguments and blocks fold in plan order.
 """
 
 import multiprocessing
+import os
 import pickle
+import select
+import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.engine.resilience import (
     ResiliencePolicy,
     iter_tasks_resilient,
     run_tasks_resilient,
+    terminate_pool,
 )
 from repro.engine.runner import run_scenario
 from repro.engine.scenario import Scenario
@@ -47,6 +52,14 @@ def _square(x):
 
 def _bad_value(x):
     raise ValueError(f"genuine bug on {x}")
+
+
+def _send_partial_result(result_fd, ready_fd):
+    """Die mid-send: a result frame header promising more bytes than
+    follow on the pool's result pipe, then hang until terminated."""
+    os.write(result_fd, struct.pack("!i", 1000) + b"partial")
+    os.write(ready_fd, b"x")
+    time.sleep(60)
 
 
 def _events_sink(events):
@@ -273,6 +286,30 @@ class TestPooledRecovery:
             injector=injector,
         )
         assert results == [0, 1, 4, 9]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the task writes to pipe ends it inherits by fork",
+    )
+    def test_terminate_joins_manager_stuck_on_partial_result(self):
+        # The manager thread blocks reading a result that a killed
+        # worker never finished; unless terminate_pool unblocks and
+        # joins it, interpreter exit hangs joining it.
+        ready_r, ready_w = os.pipe()
+        pool = ProcessPoolExecutor(max_workers=1)
+        try:
+            result_fd = pool._result_queue._writer.fileno()
+            pool.submit(_send_partial_result, result_fd, ready_w)
+            manager = pool._executor_manager_thread
+            assert select.select([ready_r], [], [], 30.0)[0]
+            time.sleep(0.2)  # the manager is now inside the partial read
+            start = time.perf_counter()
+            terminate_pool(pool)
+            assert not manager.is_alive()
+            assert time.perf_counter() - start < 10.0
+        finally:
+            os.close(ready_r)
+            os.close(ready_w)
 
     def test_abandoned_iterator_terminates_workers(self):
         # Satellite: interrupting a pooled run (KeyboardInterrupt closes

@@ -61,6 +61,23 @@ class TestScenarioSearchField:
         with pytest.raises(ValueError, match="budget_rows"):
             _scenario(search={"strategy": "ga", "budget_rows": 0})
 
+    @pytest.mark.parametrize("key", ["budget_rows", "batch_rows", "seed"])
+    @pytest.mark.parametrize(
+        "value", [True, 2.7, "12", float("inf"), float("nan"), [12]]
+    )
+    def test_non_integer_search_ints_rejected(self, key, value):
+        spec = {"workload": "ep", "search": {"strategy": "ga", key: value}}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            Scenario.from_dict(spec)
+
+    @pytest.mark.parametrize("key", ["budget_rows", "batch_rows", "seed"])
+    def test_integral_floats_and_numpy_ints_accepted(self, key):
+        for value in (12.0, np.int64(12), 12):
+            config = Scenario.from_dict(
+                {"workload": "ep", "search": {"strategy": "ga", key: value}}
+            ).search_config()
+            assert config[key] == 12 and type(config[key]) is int
+
     def test_roundtrips_through_json(self):
         s = _scenario(search={"strategy": "anneal", "budget_rows": 50, "seed": 9})
         assert Scenario.from_json(s.to_json()) == s

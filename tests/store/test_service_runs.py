@@ -127,6 +127,21 @@ class TestValidation:
         assert status == 400
         assert fragment in body["error"]
 
+    @pytest.mark.parametrize(
+        "raw_value", ["1e999", "-1e999", "2.7", "true", '"12"']
+    )
+    def test_non_integer_search_budget_is_400(self, service, raw_value):
+        # 1e999 parses to inf: int() would raise OverflowError (a 500).
+        port, state, _ = service
+        raw = (
+            '{"scenario": {"workload": "ep", "search": '
+            '{"strategy": "ga", "budget_rows": ' + raw_value + "}}}"
+        ).encode()
+        status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
+        assert status == 400
+        assert "budget_rows must be an integer" in body["error"]
+        assert state.queue.depth() == 0
+
     def test_unparseable_json_is_400(self, service):
         port, _, _ = service
         status, body, _ = _request(port, "/v1/runs", "POST", raw=b"{oops")
