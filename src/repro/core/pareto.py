@@ -16,6 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+#: Clouds below this many rows skip the prefilter: one lexsort is cheap.
+_PREFILTER_MIN_ROWS = 8192
+#: About how many evenly strided rows build the prefilter's staircase.
+_PREFILTER_SAMPLE = 4096
+
+
 def pareto_indices(times_s: Sequence[float], energies_j: Sequence[float]) -> np.ndarray:
     """Indices of the Pareto-optimal points, ordered by increasing time.
 
@@ -25,11 +31,40 @@ def pareto_indices(times_s: Sequence[float], energies_j: Sequence[float]) -> np.
     times keep only the cheapest point; a point that ties the running
     minimum is dominated (weakly) and dropped, so frontier energies are
     strictly decreasing.
+
+    Clouds of ``_PREFILTER_MIN_ROWS`` or more rows first pass an exact
+    prefilter, so the lexsort sees about as many rows as survive it.
+    The frontier of an evenly strided sample is a staircase of real
+    rows; one ``searchsorted`` finds each row's step (the last staircase
+    point with time <= its own), and the row is dropped when the step's
+    energy is <= its own, unless it is an exact ``(time, energy)``
+    duplicate of the step.  Exact: a dropped row comes strictly after a
+    kept row in lexsort order with energy >= that row's, so the running
+    minimum drops it anyway and removing it cannot lower the minimum for
+    any later row; survivors keep their relative order, so stable ties
+    and the indices are unchanged.  NaN compares false, so rows with NaN
+    time or energy are never dropped and behave as without the prefilter.
     """
     t = np.asarray(times_s, dtype=float)
     e = np.asarray(energies_j, dtype=float)
     if t.shape != e.shape or t.ndim != 1:
         raise ValueError("times and energies must be equal-length 1-D arrays")
+    if t.size < _PREFILTER_MIN_ROWS:
+        return _lexsort_staircase(t, e)
+    sample = np.arange(0, t.size, t.size // _PREFILTER_SAMPLE)
+    anchors = sample[_lexsort_staircase(t[sample], e[sample])]
+    # Anchor times strictly increase (NaN sorts last); rows before the
+    # first anchor get step 0 and fail ``step_t <= t``.
+    anchor_t, anchor_e = t[anchors], e[anchors]
+    step = np.maximum(np.searchsorted(anchor_t, t, side="right") - 1, 0)
+    step_t, step_e = anchor_t[step], anchor_e[step]
+    drop = (step_t <= t) & (step_e <= e) & ((step_t < t) | (step_e < e))
+    survivors = np.flatnonzero(~drop)
+    return survivors[_lexsort_staircase(t[survivors], e[survivors])]
+
+
+def _lexsort_staircase(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The plain pass: lexsort, running minimum, strict improvements."""
     if t.size == 0:
         return np.empty(0, dtype=np.int64)
     order = np.lexsort((e, t))

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.evaluate import ConfigSpaceResult
 from repro.core.pareto import ParetoFrontier
+from repro.core.streaming import composition_labels, solo_groups
 from repro.util.stats import linear_fit
 
 
@@ -136,21 +137,7 @@ def analyze_regions(
     if frontier is None:
         frontier = ParetoFrontier.from_points(space.times_s, space.energies_j)
 
-    hetero = space.is_heterogeneous
-    only = [space.is_only(g) for g in range(space.num_groups)]
-    letters = [_group_letter(g) for g in range(space.num_groups)]
-
-    composition = []
-    for idx in frontier.indices:
-        if hetero[idx]:
-            composition.append("hetero")
-        else:
-            for g in range(space.num_groups):
-                if only[g][idx]:
-                    composition.append(f"only-{letters[g]}")
-                    break
-    composition = tuple(composition)
-
+    composition = composition_labels(solo_groups(space.n[:, frontier.indices]))
     return regions_from_composition(
         frontier, composition, space.num_groups, low_power_side
     )

@@ -110,6 +110,15 @@ def _strict_int(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite_float(value: Any, name: str) -> float:
+    """``value`` as a ``float``; booleans, strings, NaN and infinities
+    raise ``ValueError`` (a ``<= 0`` guard alone lets NaN through)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if math.isfinite(value):
+            return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate and canonicalize a ``Scenario.search`` mapping.
 
@@ -303,11 +312,11 @@ class Scenario:
                 raise ValueError("a scenario needs at least one node of some type")
         elif self.max_a == 0 and self.max_b == 0:
             raise ValueError("a scenario needs at least one node of some type")
-        if self.units is not None and self.units <= 0:
+        if self.units is not None and _finite_float(self.units, "units") <= 0:
             raise ValueError(f"units must be positive, got {self.units}")
-        if self.noise_scale < 0:
+        if _finite_float(self.noise_scale, "noise_scale") < 0:
             raise ValueError("noise scale must be non-negative")
-        if self.window_s <= 0:
+        if _finite_float(self.window_s, "window_s") <= 0:
             raise ValueError("queueing window must be positive")
         if self.simulation not in ("batched", "reference"):
             raise ValueError(
@@ -319,7 +328,9 @@ class Scenario:
                 f"space_mode must be 'materialized' or 'streaming', got "
                 f"{self.space_mode!r}"
             )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+        if self.memory_budget_mb is not None and _finite_float(
+            self.memory_budget_mb, "memory_budget_mb"
+        ) <= 0:
             raise ValueError("memory budget must be positive")
         if self.reduce_at not in ("coordinator", "worker"):
             raise ValueError(
@@ -371,6 +382,8 @@ class Scenario:
             value = getattr(self, tup_field)
             if value is not None and not isinstance(value, tuple):
                 object.__setattr__(self, tup_field, tuple(value))
+        for u in self.utilizations:
+            _finite_float(u, "each utilization")
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ValueError(

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult
 from repro.core.pareto import ParetoFrontier
-from repro.core.streaming import ReducedSpace
+from repro.core.streaming import ReducedSpace, composition_labels, solo_groups
 from repro.engine.hashing import stable_hash
 from repro.engine.scenario import Scenario
 from repro.hardware.specs import NodeSpec
@@ -434,30 +434,23 @@ def frontier_artifact_from_space(space: ConfigSpaceResult) -> FrontierArtifact:
     """Derive the frontier artifact from a materialized space.
 
     Bit-identical to the streaming reducer's frontier fields (pinned by
-    ``tests/property/test_streaming_properties.py`` equivalences):
-    composition labels follow the same hetero/only-<letter> convention
-    and ``frontier_n`` stacks ``space.n[:, frontier.indices]``.
+    ``tests/property/test_streaming_properties.py`` equivalences): each
+    row's solo group is computed once, as the streaming pass does, and
+    drives both the composition labels and the per-group frontiers;
+    ``frontier_n`` stacks ``space.n[:, frontier.indices]``.
     """
     frontier = ParetoFrontier.from_points(space.times_s, space.energies_j)
-    hetero = space.is_heterogeneous
-    only = [space.is_only(g) for g in range(space.num_groups)]
-    composition: List[str] = []
-    for idx in frontier.indices:
-        if hetero[idx]:
-            composition.append("hetero")
-        else:
-            for g in range(space.num_groups):
-                if only[g][idx]:
-                    composition.append(f"only-{chr(ord('a') + g)}")
-                    break
+    solo = solo_groups(space.n)
+    group_rows = [np.flatnonzero(solo == g) for g in range(space.num_groups)]
     group_frontiers = tuple(
-        _subset_frontier(space, space.is_only(g))
-        for g in range(space.num_groups)
+        ParetoFrontier.from_points(space.times_s[rows], space.energies_j[rows])
+        if rows.size else None
+        for rows in group_rows
     )
     return FrontierArtifact(
         frontier=frontier,
         group_frontiers=group_frontiers,
-        composition=tuple(composition),
+        composition=composition_labels(solo[frontier.indices]),
         frontier_n=space.n[:, frontier.indices],
     )
 
@@ -472,12 +465,3 @@ def frontier_artifact_from_reduced(reduced: ReducedSpace) -> FrontierArtifact:
         frontier_n=reduced.frontier_n,
     )
 
-
-def _subset_frontier(
-    space: ConfigSpaceResult, mask: np.ndarray
-) -> Optional[ParetoFrontier]:
-    """Frontier of a masked subset, or ``None`` when the mask is empty."""
-    if not bool(np.any(mask)):
-        return None
-    subset = space.subset(mask)
-    return ParetoFrontier.from_points(subset.times_s, subset.energies_j)

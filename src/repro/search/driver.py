@@ -55,8 +55,8 @@ from repro.core.pareto import ParetoFrontier
 from repro.core.streaming import (
     FrontierReducer,
     ReducedSpace,
-    _solo_groups,
     composition_labels,
+    solo_groups,
 )
 from repro.search.evaluator import evaluate_candidate_rows
 from repro.search.space import SearchSpace
@@ -165,7 +165,7 @@ class _ReducerPass:
             f"n{g}": data.n[g] for g in range(data.num_groups)
         }
         if self.composition:
-            extra["solo"] = _solo_groups(data.n)
+            extra["solo"] = solo_groups(data.n)
         self.main.update(
             data.times_s, data.energies_j, start_row=self.total_rows,
             extra=extra,

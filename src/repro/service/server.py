@@ -54,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import Scenario, _strict_int
 from repro.service.jobs import JobQueue, QueueFull, UnknownJob
 from repro.store import queries
 from repro.store.queries import QueryError
@@ -360,8 +360,11 @@ class StoreQueryHandler(BaseHTTPRequestHandler):
             scenario = Scenario.from_dict(spec)
         except (ValueError, TypeError) as exc:
             raise _BadRequest(f"invalid scenario: {exc}")
-        max_attempts = body.get("max_attempts", 3)
-        if not isinstance(max_attempts, int) or max_attempts < 1:
+        try:
+            max_attempts = _strict_int(body.get("max_attempts", 3), "max_attempts")
+        except ValueError as exc:
+            raise _BadRequest(str(exc))
+        if max_attempts < 1:
             raise _BadRequest("max_attempts must be a positive integer")
         idempotency_key = body.get("idempotency_key")
         if idempotency_key is not None and not isinstance(idempotency_key, str):

@@ -20,6 +20,7 @@ from repro.core.configuration import (
     presence_masks,
 )
 from repro.core.evaluate import evaluate_space, evaluate_space_groups
+from repro.core.streaming import solo_groups
 from repro.engine.executor import evaluate_space_groups_chunked
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.hardware.extension import INTEL_ATOM
@@ -143,7 +144,9 @@ class TestThreeTypeEvaluation:
         for g in range(3):
             only = space.is_only(g)
             assert ((space.n[g] > 0) & (present == 1) == only).all()
+            assert ((solo_groups(space.n) == g) == only).all()
         assert (space.is_heterogeneous == (present >= 2)).all()
+        assert (space.is_heterogeneous == (solo_groups(space.n) == -1)).all()
 
     def test_missing_params_named_in_error(self):
         incomplete = {k: v for k, v in PARAMS.items() if k != "intel-atom"}

@@ -29,6 +29,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario(workload="ep", noise_scale=-0.1)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"units": float("nan")},
+            {"units": float("inf")},
+            {"window_s": float("nan")},
+            {"noise_scale": float("inf")},
+            {"noise_scale": float("nan")},
+            {"memory_budget_mb": float("nan")},
+            {"utilizations": (0.05, float("nan"))},
+            {"utilizations": (float("inf"),)},
+            {"units": True},
+            {"window_s": "20"},
+        ],
+    )
+    def test_non_finite_floats_rejected(self, changes):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            Scenario(workload="ep", **changes)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            Scenario.from_dict(dict(workload="ep", **changes))
+
+    def test_finite_floats_keep_their_type(self):
+        # Validation must not coerce: an int and a float hash differently,
+        # so coercing would move cache identities.
+        s = Scenario(workload="ep", units=1000, window_s=20)
+        assert s.units == 1000 and isinstance(s.units, int)
+        assert isinstance(s.window_s, int)
+
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="unknown stages"):
             Scenario(workload="ep", stages=("fronteer",))

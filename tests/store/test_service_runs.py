@@ -142,6 +142,50 @@ class TestValidation:
         assert "budget_rows must be an integer" in body["error"]
         assert state.queue.depth() == 0
 
+    @pytest.mark.parametrize("raw_value", ["true", "1.5", '"3"'])
+    def test_non_integer_max_attempts_is_400(self, service, raw_value):
+        port, state, _ = service
+        raw = (
+            '{"scenario": {"workload": "ep"}, "max_attempts": '
+            + raw_value + "}"
+        ).encode()
+        status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
+        assert status == 400
+        assert "max_attempts must be an integer" in body["error"]
+        assert state.queue.depth() == 0
+
+    def test_integral_float_max_attempts_is_accepted(self, service):
+        port, _, _ = service
+        status, body, _ = _request(
+            port, "/v1/runs", "POST",
+            {"scenario": TINY.to_dict(), "max_attempts": 2.0},
+        )
+        assert status == 202
+        assert body["max_attempts"] == 2
+
+    @pytest.mark.parametrize(
+        "field, raw_value",
+        [
+            ("units", "NaN"),
+            ("window_s", "NaN"),
+            ("noise_scale", "Infinity"),
+            ("memory_budget_mb", "-Infinity"),
+            ("utilizations", "[0.05, NaN]"),
+        ],
+    )
+    def test_non_finite_scenario_float_is_400(self, service, field, raw_value):
+        # Python's JSON parser reads NaN and Infinity; a <= 0 guard alone
+        # would let NaN through to the queue.
+        port, state, _ = service
+        raw = (
+            '{"scenario": {"workload": "ep", "' + field + '": '
+            + raw_value + "}}"
+        ).encode()
+        status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
+        assert status == 400
+        assert "must be a finite number" in body["error"]
+        assert state.queue.depth() == 0
+
     def test_unparseable_json_is_400(self, service):
         port, _, _ = service
         status, body, _ = _request(port, "/v1/runs", "POST", raw=b"{oops")
