@@ -46,12 +46,12 @@ Timings are best-of-``repeats`` to shrug off machine noise.
 ``--pr 7`` (worker-side streaming reduction) records:
 
 * **worker reduce** -- the same ~1.6M-row space stream-reduced end to
-  end: serial coordinator-side fold vs ``reduce_at="worker"`` through
-  ``process_pool``, ``process_pool`` + shared memory, and
-  ``tcp_remote`` (two localhost agents), reduced artifacts
-  equality-checked bit-for-bit first.  On machines with >= 2 CPUs the
-  record doubles as a regression guard: the best parallel backend must
-  not be slower than serial (exit code 1 otherwise).
+  end, each block folded by the task that evaluated it, through one
+  call per backend: ``serial``, ``process_pool``, ``process_pool`` +
+  shared memory, and ``tcp_remote`` (two localhost agents), reduced
+  artifacts equality-checked bit-for-bit first.  On machines with >= 2
+  CPUs the record doubles as a regression guard: the best parallel
+  backend must not be slower than serial (exit code 1 otherwise).
 
 ``--pr 9`` (pluggable space exploration) records:
 
@@ -459,18 +459,18 @@ def bench_backend_matrix(repeats: int, n_chunks: int = 8) -> Dict:
 
 
 def bench_worker_reduce(repeats: int) -> Dict:
-    """Streaming reduction with the fold moved into the workers.
+    """Streaming reduction with each block folded where it is evaluated.
 
     The ~1.6M-row four-type space is stream-reduced end to end --
-    evaluate blocks, fold frontiers/per-group frontiers -- serially with
-    the coordinator-side fold (the historical streaming path), then with
-    ``reduce_at="worker"`` semantics through ``process_pool`` (result
-    pipe), ``process_pool`` with the shared-memory fast path, and
-    ``tcp_remote`` against two spawned localhost agents, where each
-    worker ships only frontier-sized reducer states.  Every parallel
-    run's reduced artifacts (frontier with indices, per-group
-    frontiers, composition labels) are equality-checked bit-for-bit
-    against the serial reference before anything is timed.
+    evaluate blocks, fold frontiers/per-group frontiers in the block
+    task, merge the shipped reducer states in plan order -- through one
+    call per backend: ``serial`` (one in-process worker), then
+    ``process_pool`` (result pipe), ``process_pool`` with the
+    shared-memory fast path, and ``tcp_remote`` against two spawned
+    localhost agents.  Every parallel run's reduced artifacts (frontier
+    with indices, per-group frontiers, composition labels) are
+    equality-checked bit-for-bit against the serial reference before
+    anything is timed.
 
     The record carries ``cpu_count`` and a ``guard`` verdict: on a
     multi-core machine the best parallel backend must beat serial
@@ -480,31 +480,23 @@ def bench_worker_reduce(repeats: int) -> Dict:
     """
     import os
 
-    from repro.core.streaming import (
-        merge_block_reductions,
-        reduce_space_blocks,
-    )
-    from repro.engine.executor import (
-        iter_space_groups_chunked,
-        iter_space_reductions,
-    )
+    from repro.core.streaming import reduce_space_blocks
+    from repro.engine.executor import iter_space_groups_chunked
 
     specs, params, units = _four_type_setup()
 
-    def serial():
+    def reduce(name, options, workers):
         return reduce_space_blocks(
             iter_space_groups_chunked(
-                specs, params, units, max_workers=1, backend="serial"
+                specs, params, units, max_workers=workers,
+                backend=name, backend_options=options,
+                # Fold each block in its task; ship reducer states.
+                reduce={},
             )
         )
 
-    def worker(name, options):
-        return merge_block_reductions(
-            iter_space_reductions(
-                specs, params, units, max_workers=2,
-                backend=name, backend_options=options,
-            )
-        )
+    def serial():
+        return reduce("serial", None, 1)
 
     def check(reference, reduced, label):
         assert np.array_equal(
@@ -545,15 +537,13 @@ def bench_worker_reduce(repeats: int) -> Dict:
     results["serial"] = {
         "elapsed_s": serial_s,
         "rows_per_s": rows / serial_s,
-        "reduce_at": "coordinator",
     }
     for label, (name, options) in configs.items():
-        check(reference, worker(name, options), label)
-        elapsed = _best_of(lambda: worker(name, options), repeats)
+        check(reference, reduce(name, options, 2), label)
+        elapsed = _best_of(lambda: reduce(name, options, 2), repeats)
         results[label] = {
             "elapsed_s": elapsed,
             "rows_per_s": rows / elapsed,
-            "reduce_at": "worker",
         }
 
     best_label = min(configs, key=lambda k: results[k]["elapsed_s"])
@@ -563,8 +553,8 @@ def bench_worker_reduce(repeats: int) -> Dict:
     return {
         "label": (
             f"four-type space, {rows} rows (EP, 4x3x3x3), streamed "
-            "reduction: serial coordinator fold vs worker-side "
-            "reduction per parallel backend"
+            "reduction folded in the block tasks: serial vs each "
+            "parallel backend"
         ),
         "rows": rows,
         "cpu_count": cpu_count,
@@ -587,8 +577,8 @@ def bench_worker_reduce(repeats: int) -> Dict:
             ),
         },
         "detail": (
-            "reduce_space_blocks(iter_space_groups_chunked) serial vs "
-            "merge_block_reductions(iter_space_reductions) per backend; "
+            "reduce_space_blocks(iter_space_groups_chunked(reduce={})) "
+            "per backend, serial as the reference; "
             "frontier (times/energies/indices), frontier_n, composition "
             "labels, and per-group frontiers equality-checked "
             "bit-for-bit before timing"

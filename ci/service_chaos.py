@@ -8,8 +8,8 @@ write path, end to end:
 2. A *chaos* run: the same scenario is enqueued as a job (with an
    idempotency key), a real ``python -m repro.service.supervisor``
    process starts executing it under a deliberately slowed fault plan,
-   and the process is **SIGKILLed** as soon as its first per-job
-   checkpoint lands on disk.
+   and the process and its workers are **SIGKILLed** as soon as its
+   first per-job checkpoint lands on disk.
 3. The killed worker's lease expires; a rescue supervisor reclaims the
    job, resumes from the checkpoint prefix, and completes it.
 4. Every stage artifact in the chaos store must be **byte-identical**
@@ -20,11 +20,15 @@ write path, end to end:
 Usage::
 
     PYTHONPATH=src python ci/service_chaos.py
+
+The temporary stores are removed on exit, pass or fail.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -78,6 +82,13 @@ def stage_payloads(store_dir: Path, identity: str) -> dict:
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="service-chaos-"))
+    try:
+        return run(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def run(tmp: Path) -> int:
     scenario = Scenario.from_file(SCENARIO_FILE)
     identity = scenario_identity(scenario)
 
@@ -109,17 +120,21 @@ def main() -> int:
          "--checkpoint-every", "1",
          "--fault-plan", str(plan_file)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        # Its own process group, so the SIGKILL also takes the pool
+        # workers it forked, as a machine failure would.
+        start_new_session=True,
     )
     try:
         wait_for(
             lambda: any(ckpt_dir.glob("*")) if ckpt_dir.exists() else False,
             timeout_s=60, what="the first job checkpoint",
         )
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=10)
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
     print(f"SIGKILLed supervisor with checkpoints in {ckpt_dir}")
 
     with ArtifactStore(chaos_dir) as store:

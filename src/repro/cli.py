@@ -331,16 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "default 256)",
     )
     parser.add_argument(
-        "--reduce-at",
-        choices=["coordinator", "worker"],
-        default=None,
-        help="with --space-mode streaming, where the block fold runs: "
-        "'coordinator' ships whole evaluated blocks back and folds them "
-        "centrally; 'worker' folds each block in the worker that "
-        "evaluated it and ships only compact reducer states "
-        "(bit-identical artifacts either way)",
-    )
-    parser.add_argument(
         "--chunk-rows",
         type=int,
         default=None,
@@ -492,11 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
-    if args.reduce_at == "worker" and (args.space_mode or "") != "streaming":
-        # Scenario files may set streaming themselves; only the explicit
-        # flag combination is checkable (and fixable) at parse time.
-        if args.artifact != "scenario" or args.space_mode is not None:
-            parser.error("--reduce-at worker requires --space-mode streaming")
     batched = args.simulation != "reference"
     space_mode = args.space_mode or "materialized"
 
@@ -582,8 +567,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         table, _ = build_table4(seed=args.seed, batched=batched)
         print(table.render(), file=out)
     elif args.artifact == "table5":
-        table, _ = build_table5(seed=args.seed)
+        table, rows = build_table5(seed=args.seed)
         print(table.render(), file=out)
+        # The table's rows at full precision, not its rounded cells.
+        csv_headers = list(table.headers)
+        csv_rows = [
+            [name, unit, values[_AMD_NODE.name], values[_ARM_NODE.name], cells[-1]]
+            for (name, unit, values), cells in zip(rows, table.rows)
+        ]
     elif args.artifact == "fig2":
         series = build_fig2(seed=args.seed)
         print(_series_table(series, "Fig 2: WPI/SPI_core constancy").render(), file=out)
@@ -756,11 +747,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             scenario = scenario.with_(space_mode=args.space_mode)
         if args.memory_budget_mb is not None:
             scenario = scenario.with_(memory_budget_mb=args.memory_budget_mb)
-        if args.reduce_at is not None:
-            try:
-                scenario = scenario.with_(reduce_at=args.reduce_at)
-            except ValueError as exc:
-                parser.error(str(exc))
         if args.chunk_rows is not None:
             scenario = scenario.with_(chunk_rows=args.chunk_rows)
         if args.search is not None or args.search_budget is not None:

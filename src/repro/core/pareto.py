@@ -76,6 +76,19 @@ def _lexsort_staircase(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
+def reject_nan_energies(energies_j: np.ndarray) -> None:
+    """Raise on a NaN energy, which has no single frontier.
+
+    The batch pass's running minimum carries a NaN energy to every later
+    row, which a block-wise fold cannot see, so the two would disagree:
+    times ``[1, 2, 3, 4]`` with energies ``[5, nan, 4, 3]`` give ``[0]``
+    in one pass and ``[0, 2, 3]`` folded in two blocks.  Every frontier
+    builder rejects NaN energies instead.
+    """
+    if np.isnan(energies_j).any():
+        raise ValueError("frontier energies must not be NaN")
+
+
 @dataclass(frozen=True)
 class ParetoFrontier:
     """The frontier as parallel arrays plus the original point indices."""
@@ -100,10 +113,12 @@ class ParetoFrontier:
         times_s: Sequence[float],
         energies_j: Sequence[float],
     ) -> "ParetoFrontier":
-        """Build the frontier of a point cloud."""
-        idx = pareto_indices(times_s, energies_j)
+        """Build the frontier of a point cloud (NaN energies raise)."""
+        e_all = np.asarray(energies_j, dtype=float)
+        reject_nan_energies(e_all)
+        idx = pareto_indices(times_s, e_all)
         t = np.asarray(times_s, dtype=float)[idx]
-        e = np.asarray(energies_j, dtype=float)[idx]
+        e = e_all[idx]
         return cls(times_s=t, energies_j=e, indices=idx)
 
     def __len__(self) -> int:

@@ -14,9 +14,9 @@ planner -> queueing path as a *stream of columnar blocks*:
 * :func:`plan_block_tasks` -- the deterministic decomposition of a
   k-group space into blocks no larger than a row budget (each
   presence-mask block partitioned over its lead group's counts);
-* :func:`iter_space_blocks` -- a serial block source; the parallel twin
-  (:func:`repro.engine.executor.iter_space_groups_chunked`) overlaps
-  evaluation with reduction on a process pool;
+* :func:`iter_space_blocks` -- a serial block source; the engine's
+  source (:func:`repro.engine.executor.iter_space_groups_chunked`)
+  evaluates each block, and folds it, on an execution backend;
 * :class:`FrontierReducer` -- an online Pareto frontier whose final
   point set, order, and original-row indices are **bit-identical** to
   the batch :func:`~repro.core.pareto.pareto_indices` (merging runs the
@@ -24,11 +24,13 @@ planner -> queueing path as a *stream of columnar blocks*:
   running frontier and each block's local frontier);
 * :class:`TopKReducer` -- bounded best-k candidate selection (the
   planner's and what-if's streaming picks);
-* :func:`reduce_space_blocks` -- one pass driving the frontier,
-  per-group homogeneous frontiers, and region-composition reducers (plus
-  any extra consumers, e.g. the queueing layer's
-  :class:`~repro.queueing.dispatcher.Figure10Reducer`) into a compact
-  :class:`ReducedSpace` artifact;
+* :class:`ReducerPass` -- the one fold of evaluated rows into the
+  frontier, per-group homogeneous frontiers, and region-composition
+  reducers (plus any extra consumers, e.g. the queueing layer's
+  :class:`~repro.queueing.dispatcher.Figure10Reducer`), and the merge of
+  two such folds, finishing as a compact :class:`ReducedSpace`;
+  :func:`reduce_space_blocks` drives one pass over a plan-ordered stream
+  of blocks or of block-task folds;
 * :class:`SpaceSpill` / :func:`load_spilled_space` -- optional
   memory-mapped ``.npy`` spill for when the full space must be retained
   for reporting without holding it in RAM.
@@ -65,7 +67,7 @@ from repro.core.candidates import BlockTask, ExhaustiveSource
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult
 from repro.core.params import NodeModelParams
-from repro.core.pareto import ParetoFrontier, pareto_indices
+from repro.core.pareto import ParetoFrontier, pareto_indices, reject_nan_energies
 
 #: Default peak-memory budget for streaming evaluation, megabytes.
 DEFAULT_MEMORY_BUDGET_MB = 256.0
@@ -275,6 +277,7 @@ class FrontierReducer:
             start_row = self._rows_seen
         if times_s.size == 0:
             return
+        reject_nan_energies(energies_j)
         keep = pareto_indices(times_s, energies_j)
         cand_t = np.concatenate([self._t, times_s[keep]])
         cand_e = np.concatenate([self._e, energies_j[keep]])
@@ -302,10 +305,10 @@ class FrontierReducer:
         input blocks directly, provided this reducer's rows all precede
         the other's in the global row order (``index_offset`` shifts the
         other state's indices into that order; the whole-space reducer
-        folds with offset 0 because workers already record global rows).
+        merges with offset 0 because block tasks record global rows).
         The identity holds because :func:`~repro.core.pareto.pareto_indices`
-        is idempotent -- a worker's local frontier *is* ``block[keep]``
-        from the coordinator fold, so the union arrays match element for
+        is idempotent -- a block task's local frontier *is* ``block[keep]``
+        from a direct fold, so the union arrays match element for
         element and the stable lexsort resolves duplicates identically.
         Merging is associative for the same reason: any parenthesization
         reduces the same ordered union.
@@ -320,6 +323,7 @@ class FrontierReducer:
         other_idx = np.asarray(state["idx"], dtype=np.int64)
         if other_t.size == 0 and int(state["rows_seen"]) == 0:
             return
+        reject_nan_energies(other_e)
         cand_t = np.concatenate([self._t, other_t])
         cand_e = np.concatenate([self._e, other_e])
         cand_idx = np.concatenate(
@@ -499,36 +503,235 @@ def composition_labels(solo: np.ndarray) -> Tuple[str, ...]:
     )
 
 
-def _reducer_pass_state(
-    blocks_done: int,
-    nodes: Tuple[str, ...],
-    units_total: float,
-    counters: Tuple[int, int, int, int],
-    group_offsets: Sequence[int],
-    main: "FrontierReducer",
-    per_group: Sequence["FrontierReducer"],
-    consumers: Sequence[Any],
-) -> Dict[str, Any]:
-    """The full reducer-pass snapshot one checkpoint stores."""
-    total_rows, num_blocks, full_nbytes, peak_block = counters
-    return {
-        "blocks_done": int(blocks_done),
-        "completed_blocks": tuple(range(int(blocks_done))),
-        "nodes": tuple(nodes),
-        "units_total": float(units_total),
-        "total_rows": int(total_rows),
-        "num_blocks": int(num_blocks),
-        "full_nbytes": int(full_nbytes),
-        "peak_block_nbytes": int(peak_block),
-        "group_offsets": list(group_offsets),
-        "main": main.state_dict(),
-        "groups": [r.state_dict() for r in per_group],
-        "consumers": [c.state_dict() for c in consumers],
-    }
+class ReducerPass:
+    """The one fold over evaluated rows, and the merge of two such folds.
+
+    Owns the whole-space :class:`FrontierReducer` (with a ``solo``
+    composition payload and one ``n{g}`` node-count payload per group),
+    one reducer per node-type group for the homogeneous frontiers with
+    its running row offset, the row/block/byte counters a
+    :class:`ReducedSpace` reports, and any extra ``consumers`` -- objects
+    with ``update(block)`` (and, to merge or checkpoint, ``merge(state)``
+    / ``state_dict()`` / ``load_state(state)``), e.g. the queueing
+    layer's :class:`~repro.queueing.dispatcher.Figure10Reducer` or a
+    :class:`SpaceSpill`.
+
+    :meth:`fold` is the only per-block body.  A block task folds its
+    block through a fresh pass and ships :meth:`state_dict`; the
+    coordinator :meth:`merge`\\ s those states in plan order.  Merging is
+    bit-identical to folding the same blocks here because
+    :func:`~repro.core.pareto.pareto_indices` is idempotent: the task's
+    local frontier is exactly the ``block[keep]`` subset a fold would
+    form, whole-space indices are global already, and each group's
+    local indices are shifted by this pass's running group offset.
+    """
+
+    def __init__(
+        self,
+        composition: bool = True,
+        group_frontiers: bool = True,
+        consumers: Sequence[Any] = (),
+    ):
+        self.composition = composition
+        self.group_frontiers = group_frontiers
+        self.consumers = list(consumers)
+        self.main: Optional[FrontierReducer] = None
+        self.per_group: List[FrontierReducer] = []
+        self.group_offsets: List[int] = []
+        self.nodes: Tuple[str, ...] = ()
+        self.units_total = 0.0
+        self.total_rows = 0
+        self.num_blocks = 0
+        self.full_nbytes = 0
+        self.peak_block = 0
+
+    def _start(self, nodes: Sequence[str], units_total: float) -> None:
+        self.nodes = tuple(nodes)
+        self.units_total = float(units_total)
+        extras = (["solo"] if self.composition else []) + [
+            f"n{g}" for g in range(len(self.nodes))
+        ]
+        self.main = FrontierReducer(extra_names=extras)
+        if self.group_frontiers:
+            self.per_group = [FrontierReducer() for _ in self.nodes]
+            self.group_offsets = [0] * len(self.nodes)
+
+    def _count(self, rows: int, num_blocks: int, nbytes: int, peak: int) -> None:
+        self.total_rows += int(rows)
+        self.num_blocks += int(num_blocks)
+        self.full_nbytes += int(nbytes)
+        self.peak_block = max(self.peak_block, int(peak))
+
+    def fold(self, block: SpaceBlock) -> None:
+        """Fold one evaluated block, whose rows start at ``block.start_row``."""
+        data = block.data
+        if self.main is None:
+            self._start(data.nodes, data.units_total)
+        extra: Dict[str, np.ndarray] = {
+            f"n{g}": data.n[g] for g in range(data.num_groups)
+        }
+        solo = None
+        if self.composition or self.group_frontiers:
+            solo = solo_groups(data.n)
+        if self.composition:
+            extra["solo"] = solo
+        self.main.update(
+            data.times_s, data.energies_j, start_row=block.start_row,
+            extra=extra,
+        )
+        for g, reducer in enumerate(self.per_group):
+            mask = solo == g
+            hit = int(np.count_nonzero(mask))
+            if hit:
+                reducer.update(
+                    data.times_s[mask],
+                    data.energies_j[mask],
+                    start_row=self.group_offsets[g],
+                )
+            self.group_offsets[g] += hit
+        for consumer in self.consumers:
+            consumer.update(block)
+        self._count(len(data), 1, data.nbytes, data.nbytes)
+
+    def merge(self, state: Mapping[str, Any]) -> None:
+        """Fold another pass's :meth:`state_dict`, whose rows follow this
+        pass's rows in the global order."""
+        if len(state["consumers"]) != len(self.consumers):
+            raise ValueError(
+                f"reducer state carries {len(state['consumers'])} consumer "
+                f"states for {len(self.consumers)} consumers"
+            )
+        if self.main is None:
+            self._start(state["nodes"], state["units_total"])
+        self.main.merge(state["main"])
+        if self.group_frontiers:
+            if len(state["groups"]) != len(self.per_group):
+                raise ValueError(
+                    "reducer state's group-frontier count does not match "
+                    "this pass"
+                )
+            for g, reducer in enumerate(self.per_group):
+                reducer.merge(
+                    state["groups"][g], index_offset=self.group_offsets[g]
+                )
+                self.group_offsets[g] += int(state["group_offsets"][g])
+        for consumer, consumer_state in zip(self.consumers, state["consumers"]):
+            consumer.merge(consumer_state)
+        self._count(
+            state["total_rows"], state["num_blocks"], state["full_nbytes"],
+            state["peak_block_nbytes"],
+        )
+
+    def finish(self) -> ReducedSpace:
+        """The compact artifact of everything folded or merged so far."""
+        if self.main is None:
+            raise ValueError("no rows to reduce: nothing was folded")
+        frontier = self.main.finish()
+        reduced = ReducedSpace(
+            nodes=self.nodes,
+            units_total=self.units_total,
+            total_rows=self.total_rows,
+            num_blocks=self.num_blocks,
+            full_nbytes=self.full_nbytes,
+            peak_block_nbytes=self.peak_block,
+            frontier=frontier,
+        )
+        if frontier is not None:
+            reduced.frontier_n = np.stack(
+                [self.main.extra(f"n{g}") for g in range(len(self.nodes))]
+            ).astype(np.int64)
+            if self.composition:
+                reduced.composition = composition_labels(
+                    self.main.extra("solo")
+                )
+        if self.group_frontiers:
+            reduced.group_frontiers = tuple(
+                r.finish() for r in self.per_group
+            )
+        return reduced
+
+    # ---- checkpoint support --------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The full snapshot one checkpoint stores (and one block task
+        ships); every block folded so far is a plan prefix."""
+        return {
+            "blocks_done": self.num_blocks,
+            "completed_blocks": tuple(range(self.num_blocks)),
+            "nodes": self.nodes,
+            "units_total": self.units_total,
+            "total_rows": self.total_rows,
+            "num_blocks": self.num_blocks,
+            "full_nbytes": self.full_nbytes,
+            "peak_block_nbytes": self.peak_block,
+            "group_offsets": list(self.group_offsets),
+            "main": None if self.main is None else self.main.state_dict(),
+            "groups": [r.state_dict() for r in self.per_group],
+            "consumers": [c.state_dict() for c in self.consumers],
+        }
+
+    def load_state(self, state: Mapping[str, Any]) -> None:
+        """Restore a :meth:`state_dict` snapshot.
+
+        Also reads the search driver's snapshots, which carry no
+        ``blocks_done``/``consumers`` and may hold ``main=None``.
+        """
+        saved_consumers = state.get("consumers", ())
+        if len(saved_consumers) != len(self.consumers):
+            raise ValueError(
+                f"checkpoint carries {len(saved_consumers)} consumer states "
+                f"for {len(self.consumers)} consumers"
+            )
+        self.nodes = tuple(state["nodes"])
+        self.units_total = float(state["units_total"])
+        self.total_rows = int(state["total_rows"])
+        self.num_blocks = int(state["num_blocks"])
+        self.full_nbytes = int(state["full_nbytes"])
+        self.peak_block = int(state["peak_block_nbytes"])
+        if state["main"] is not None:
+            self._start(self.nodes, self.units_total)
+            self.main.load_state(state["main"])
+            if self.group_frontiers:
+                if len(state["groups"]) != len(self.per_group):
+                    raise ValueError(
+                        "checkpoint group-frontier count does not match "
+                        "this pass"
+                    )
+                for reducer, group_state in zip(self.per_group, state["groups"]):
+                    reducer.load_state(group_state)
+                self.group_offsets = list(state["group_offsets"])
+        for consumer, consumer_state in zip(self.consumers, saved_consumers):
+            consumer.load_state(consumer_state)
+
+
+@dataclass(frozen=True)
+class BlockReduction:
+    """One block folded where it was evaluated: the :meth:`ReducerPass.state_dict`
+    of a fresh pass over that block alone, tagged with its plan index."""
+
+    index: int
+    state: Dict[str, Any]
+
+
+def fold_block_reduction(
+    block: SpaceBlock, queueing: Optional[Mapping[str, Any]] = None
+) -> BlockReduction:
+    """Fold one block through a fresh :class:`ReducerPass` (the block task's
+    half of the reduction).  ``queueing``, when given, is the keyword
+    mapping a :class:`~repro.queueing.dispatcher.Figure10Reducer` is
+    built from."""
+    consumers = []
+    if queueing is not None:
+        from repro.queueing.dispatcher import Figure10Reducer
+
+        consumers.append(Figure10Reducer(**dict(queueing)))
+    reducers = ReducerPass(consumers=consumers)
+    reducers.fold(block)
+    return BlockReduction(index=block.index, state=reducers.state_dict())
 
 
 def reduce_space_blocks(
-    blocks: Iterable[SpaceBlock],
+    blocks: Iterable[Any],
     group_frontiers: bool = True,
     composition: bool = True,
     consumers: Sequence[Any] = (),
@@ -537,24 +740,22 @@ def reduce_space_blocks(
     checkpoint_every: int = 8,
     initial: Optional[Mapping[str, Any]] = None,
 ) -> ReducedSpace:
-    """One streaming pass: fold every block into the standard reducers.
+    """Drive one :class:`ReducerPass` over a plan-ordered stream.
 
-    Drives the whole-space :class:`FrontierReducer` (with composition and
-    node-count payloads for the regions stage), one masked reducer per
-    node-type group (the homogeneous frontiers), and any extra
-    ``consumers`` -- objects with an ``update(block)`` method, e.g. the
-    queueing layer's :class:`~repro.queueing.dispatcher.Figure10Reducer`
-    or a :class:`SpaceSpill` -- all in a single iteration, so evaluation
-    work is never repeated per stage.
+    ``blocks`` yields :class:`SpaceBlock`\\ s, which are folded here, or
+    :class:`BlockReduction`\\ s folded where they were evaluated, which
+    are merged; either way the result is the same :class:`ReducedSpace`.
+    ``consumers`` receive every folded block (or merge every shipped
+    consumer state, position for position).
 
-    Checkpoint/resume: when ``checkpoint_save`` is given, a snapshot of
-    every reducer plus the count of folded blocks is handed to it every
+    Checkpoint/resume: when ``checkpoint_save`` is given, the pass's
+    :meth:`~ReducerPass.state_dict` is handed to it every
     ``checkpoint_every`` blocks (and once more at the end); ``initial``
     restores such a snapshot, in which case ``blocks`` must yield exactly
     the plan's remaining blocks (indices ``blocks_done``, ``+1``, ...).
     Because blocks arrive in plan order and every reducer is
     deterministic, a resumed pass is bit-identical to an uninterrupted
-    one.  ``fold_hook(block_index)`` runs in-process before each fold --
+    one.  ``fold_hook(block_index)`` runs in-process before each block --
     the fault-injection point for simulated mid-stream aborts.
     """
     if checkpoint_every < 1:
@@ -568,402 +769,31 @@ def reduce_space_blocks(
                 f"cannot checkpoint consumers without state_dict/load_state: "
                 f"{opaque}"
             )
-    main_extras = ["solo"] if composition else []
-    main: Optional[FrontierReducer] = None
-    per_group: List[FrontierReducer] = []
-    group_offsets: List[int] = []
-    nodes: Tuple[str, ...] = ()
-    units_total = 0.0
-    total_rows = 0
-    num_blocks = 0
-    full_nbytes = 0
-    peak_block = 0
-    blocks_done = 0
-    since_save = 0
-
-    def _build_reducers(num_groups: int) -> None:
-        nonlocal main, per_group, group_offsets
-        extras = list(main_extras) + [f"n{g}" for g in range(num_groups)]
-        main = FrontierReducer(extra_names=extras)
-        if group_frontiers:
-            per_group = [FrontierReducer() for _ in range(num_groups)]
-            group_offsets = [0] * num_groups
-
+    reducers = ReducerPass(composition, group_frontiers, consumers)
     if initial is not None:
-        nodes = tuple(initial["nodes"])
-        units_total = float(initial["units_total"])
-        total_rows = int(initial["total_rows"])
-        num_blocks = int(initial["num_blocks"])
-        full_nbytes = int(initial["full_nbytes"])
-        peak_block = int(initial["peak_block_nbytes"])
-        blocks_done = int(initial["blocks_done"])
-        _build_reducers(len(nodes))
-        main.load_state(initial["main"])
-        saved_groups = initial["groups"]
-        if group_frontiers:
-            if len(saved_groups) != len(per_group):
-                raise ValueError(
-                    "checkpoint group-frontier count does not match this pass"
-                )
-            for reducer, state in zip(per_group, saved_groups):
-                reducer.load_state(state)
-            group_offsets = list(initial["group_offsets"])
-        saved_consumers = initial["consumers"]
-        if len(saved_consumers) != len(consumers):
-            raise ValueError(
-                f"checkpoint carries {len(saved_consumers)} consumer states "
-                f"for {len(consumers)} consumers"
-            )
-        for consumer, state in zip(consumers, saved_consumers):
-            consumer.load_state(state)
-
+        reducers.load_state(initial)
+    since_save = 0
     for block in blocks:
-        if block.index != blocks_done:
+        if block.index != reducers.num_blocks:
             raise ValueError(
                 f"blocks must arrive in plan order: expected index "
-                f"{blocks_done}, got {block.index}"
+                f"{reducers.num_blocks}, got {block.index}"
             )
         if fold_hook is not None:
             fold_hook(block.index)
-        data = block.data
-        if main is None:
-            nodes = data.nodes
-            units_total = data.units_total
-            _build_reducers(data.num_groups)
-        extra: Dict[str, np.ndarray] = {
-            f"n{g}": data.n[g] for g in range(data.num_groups)
-        }
-        if composition:
-            extra["solo"] = solo_groups(data.n)
-        main.update(
-            data.times_s, data.energies_j, start_row=block.start_row,
-            extra=extra,
-        )
-        if group_frontiers:
-            for g, reducer in enumerate(per_group):
-                mask = data.is_only(g)
-                hit = int(np.count_nonzero(mask))
-                if hit:
-                    reducer.update(
-                        data.times_s[mask],
-                        data.energies_j[mask],
-                        start_row=group_offsets[g],
-                    )
-                group_offsets[g] += hit
-        for consumer in consumers:
-            consumer.update(block)
-        total_rows += block.rows
-        num_blocks += 1
-        full_nbytes += data.nbytes
-        peak_block = max(peak_block, data.nbytes)
-        blocks_done += 1
+        if isinstance(block, BlockReduction):
+            reducers.merge(block.state)
+        else:
+            reducers.fold(block)
         since_save += 1
         if checkpoint_save is not None and since_save >= checkpoint_every:
-            checkpoint_save(
-                _reducer_pass_state(
-                    blocks_done, nodes, units_total,
-                    (total_rows, num_blocks, full_nbytes, peak_block),
-                    group_offsets, main, per_group, consumers,
-                )
-            )
+            checkpoint_save(reducers.state_dict())
             since_save = 0
-
-    if main is None:
+    if reducers.main is None:
         raise ValueError("no blocks to reduce: the space is empty")
-
     if checkpoint_save is not None and since_save > 0:
-        checkpoint_save(
-            _reducer_pass_state(
-                blocks_done, nodes, units_total,
-                (total_rows, num_blocks, full_nbytes, peak_block),
-                group_offsets, main, per_group, consumers,
-            )
-        )
-
-    frontier = main.finish()
-    reduced = ReducedSpace(
-        nodes=nodes,
-        units_total=units_total,
-        total_rows=total_rows,
-        num_blocks=num_blocks,
-        full_nbytes=full_nbytes,
-        peak_block_nbytes=peak_block,
-        frontier=frontier,
-    )
-    if frontier is not None:
-        reduced.frontier_n = np.stack(
-            [main.extra(f"n{g}") for g in range(len(nodes))]
-        ).astype(np.int64)
-        if composition:
-            reduced.composition = composition_labels(main.extra("solo"))
-    if group_frontiers:
-        reduced.group_frontiers = tuple(r.finish() for r in per_group)
-    return reduced
-
-
-# ---------------------------------------------------------------------------
-# Worker-side reduction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockReduction:
-    """One block's compact reducer states -- what crosses the wire when
-    ``reduce_at="worker"``.
-
-    A worker folds its block through fresh local reducers and ships this
-    instead of the block's columns: the whole-space frontier state (with
-    composition/node-count payloads, indexed by *global* rows), one
-    optional state per node-type group's homogeneous frontier (indexed
-    from 0 within the block's hits -- the coordinator shifts them by its
-    running per-group offsets), the per-group hit counts needed to
-    advance those offsets, and one state per extra consumer (the
-    queueing layer's :class:`~repro.queueing.dispatcher.Figure10Reducer`).
-    ``rows``/``nbytes`` carry the accounting the coordinator's
-    :class:`ReducedSpace` counters need, since it never sees the columns.
-    """
-
-    index: int
-    start_row: int
-    rows: int
-    nbytes: int
-    nodes: Tuple[str, ...]
-    units_total: float
-    main: Dict[str, Any]
-    groups: Optional[Tuple[Optional[Dict[str, Any]], ...]]
-    group_hits: Optional[Tuple[int, ...]]
-    consumers: Tuple[Dict[str, Any], ...] = ()
-
-    @property
-    def stop_row(self) -> int:
-        return self.start_row + self.rows
-
-
-def fold_block_reduction(
-    block: SpaceBlock,
-    composition: bool = True,
-    group_frontiers: bool = True,
-    queueing: Optional[Mapping[str, Any]] = None,
-) -> BlockReduction:
-    """Fold one block through fresh local reducers (the worker half).
-
-    Runs exactly the per-block body of :func:`reduce_space_blocks` --
-    same extras, same start rows, same masked per-group updates -- so the
-    states it returns merge bit-identically into a coordinator pass.
-    ``queueing``, when given, is the keyword mapping a
-    :class:`~repro.queueing.dispatcher.Figure10Reducer` is built from.
-    """
-    data = block.data
-    main_extras = ["solo"] if composition else []
-    extras = main_extras + [f"n{g}" for g in range(data.num_groups)]
-    main = FrontierReducer(extra_names=extras)
-    extra: Dict[str, np.ndarray] = {
-        f"n{g}": data.n[g] for g in range(data.num_groups)
-    }
-    if composition:
-        extra["solo"] = solo_groups(data.n)
-    main.update(
-        data.times_s, data.energies_j, start_row=block.start_row, extra=extra
-    )
-    groups: Optional[Tuple[Optional[Dict[str, Any]], ...]] = None
-    group_hits: Optional[Tuple[int, ...]] = None
-    if group_frontiers:
-        states: List[Optional[Dict[str, Any]]] = []
-        hits: List[int] = []
-        for g in range(data.num_groups):
-            mask = data.is_only(g)
-            hit = int(np.count_nonzero(mask))
-            if hit:
-                reducer = FrontierReducer()
-                reducer.update(
-                    data.times_s[mask], data.energies_j[mask], start_row=0
-                )
-                states.append(reducer.state_dict())
-            else:
-                states.append(None)
-            hits.append(hit)
-        groups = tuple(states)
-        group_hits = tuple(hits)
-    consumer_states: List[Dict[str, Any]] = []
-    if queueing is not None:
-        from repro.queueing.dispatcher import Figure10Reducer
-
-        f10 = Figure10Reducer(**dict(queueing))
-        f10.update(block)
-        consumer_states.append(f10.state_dict())
-    return BlockReduction(
-        index=block.index,
-        start_row=block.start_row,
-        rows=block.rows,
-        nbytes=data.nbytes,
-        nodes=data.nodes,
-        units_total=data.units_total,
-        main=main.state_dict(),
-        groups=groups,
-        group_hits=group_hits,
-        consumers=tuple(consumer_states),
-    )
-
-
-def merge_block_reductions(
-    reductions: Iterable[BlockReduction],
-    group_frontiers: bool = True,
-    composition: bool = True,
-    consumers: Sequence[Any] = (),
-    fold_hook: Optional[Any] = None,
-    checkpoint_save: Optional[Any] = None,
-    checkpoint_every: int = 8,
-    initial: Optional[Mapping[str, Any]] = None,
-) -> ReducedSpace:
-    """Merge worker :class:`BlockReduction`\\ s in plan order (the
-    coordinator half of ``reduce_at="worker"``).
-
-    The structural twin of :func:`reduce_space_blocks`: same plan-order
-    enforcement, same ``fold_hook`` fault-injection point before each
-    merge, and checkpoint snapshots in the exact
-    :func:`_reducer_pass_state` shape -- so checkpoints written by either
-    mode resume under the other, and the resulting :class:`ReducedSpace`
-    is bit-identical to the coordinator-side fold.  ``consumers`` here
-    are coordinator-resident reducers with a ``merge(state)`` method
-    matching, position for position, the states each reduction carries.
-    """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint interval must be at least one block")
-    if checkpoint_save is not None:
-        opaque = [
-            type(c).__name__ for c in consumers if not hasattr(c, "state_dict")
-        ]
-        if opaque:
-            raise ValueError(
-                f"cannot checkpoint consumers without state_dict/load_state: "
-                f"{opaque}"
-            )
-    main_extras = ["solo"] if composition else []
-    main: Optional[FrontierReducer] = None
-    per_group: List[FrontierReducer] = []
-    group_offsets: List[int] = []
-    nodes: Tuple[str, ...] = ()
-    units_total = 0.0
-    total_rows = 0
-    num_blocks = 0
-    full_nbytes = 0
-    peak_block = 0
-    blocks_done = 0
-    since_save = 0
-
-    def _build_reducers(num_groups: int) -> None:
-        nonlocal main, per_group, group_offsets
-        extras = list(main_extras) + [f"n{g}" for g in range(num_groups)]
-        main = FrontierReducer(extra_names=extras)
-        if group_frontiers:
-            per_group = [FrontierReducer() for _ in range(num_groups)]
-            group_offsets = [0] * num_groups
-
-    if initial is not None:
-        nodes = tuple(initial["nodes"])
-        units_total = float(initial["units_total"])
-        total_rows = int(initial["total_rows"])
-        num_blocks = int(initial["num_blocks"])
-        full_nbytes = int(initial["full_nbytes"])
-        peak_block = int(initial["peak_block_nbytes"])
-        blocks_done = int(initial["blocks_done"])
-        _build_reducers(len(nodes))
-        main.load_state(initial["main"])
-        saved_groups = initial["groups"]
-        if group_frontiers:
-            if len(saved_groups) != len(per_group):
-                raise ValueError(
-                    "checkpoint group-frontier count does not match this pass"
-                )
-            for reducer, state in zip(per_group, saved_groups):
-                reducer.load_state(state)
-            group_offsets = list(initial["group_offsets"])
-        saved_consumers = initial["consumers"]
-        if len(saved_consumers) != len(consumers):
-            raise ValueError(
-                f"checkpoint carries {len(saved_consumers)} consumer states "
-                f"for {len(consumers)} consumers"
-            )
-        for consumer, state in zip(consumers, saved_consumers):
-            consumer.load_state(state)
-
-    for red in reductions:
-        if red.index != blocks_done:
-            raise ValueError(
-                f"block reductions must arrive in plan order: expected "
-                f"index {blocks_done}, got {red.index}"
-            )
-        if fold_hook is not None:
-            fold_hook(red.index)
-        if len(red.consumers) != len(consumers):
-            raise ValueError(
-                f"block reduction carries {len(red.consumers)} consumer "
-                f"states for {len(consumers)} consumers"
-            )
-        if main is None:
-            nodes = red.nodes
-            units_total = red.units_total
-            _build_reducers(len(nodes))
-        main.merge(red.main)
-        if group_frontiers:
-            if red.groups is None or red.group_hits is None:
-                raise ValueError(
-                    "block reduction has no per-group frontier states"
-                )
-            for g, reducer in enumerate(per_group):
-                state = red.groups[g]
-                if state is not None:
-                    reducer.merge(state, index_offset=group_offsets[g])
-                group_offsets[g] += int(red.group_hits[g])
-        for consumer, state in zip(consumers, red.consumers):
-            consumer.merge(state)
-        total_rows += red.rows
-        num_blocks += 1
-        full_nbytes += red.nbytes
-        peak_block = max(peak_block, red.nbytes)
-        blocks_done += 1
-        since_save += 1
-        if checkpoint_save is not None and since_save >= checkpoint_every:
-            checkpoint_save(
-                _reducer_pass_state(
-                    blocks_done, nodes, units_total,
-                    (total_rows, num_blocks, full_nbytes, peak_block),
-                    group_offsets, main, per_group, consumers,
-                )
-            )
-            since_save = 0
-
-    if main is None:
-        raise ValueError("no blocks to reduce: the space is empty")
-
-    if checkpoint_save is not None and since_save > 0:
-        checkpoint_save(
-            _reducer_pass_state(
-                blocks_done, nodes, units_total,
-                (total_rows, num_blocks, full_nbytes, peak_block),
-                group_offsets, main, per_group, consumers,
-            )
-        )
-
-    frontier = main.finish()
-    reduced = ReducedSpace(
-        nodes=nodes,
-        units_total=units_total,
-        total_rows=total_rows,
-        num_blocks=num_blocks,
-        full_nbytes=full_nbytes,
-        peak_block_nbytes=peak_block,
-        frontier=frontier,
-    )
-    if frontier is not None:
-        reduced.frontier_n = np.stack(
-            [main.extra(f"n{g}") for g in range(len(nodes))]
-        ).astype(np.int64)
-        if composition:
-            reduced.composition = composition_labels(main.extra("solo"))
-    if group_frontiers:
-        reduced.group_frontiers = tuple(r.finish() for r in per_group)
-    return reduced
+        checkpoint_save(reducers.state_dict())
+    return reducers.finish()
 
 
 def streaming_frontier(

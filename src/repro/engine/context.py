@@ -38,12 +38,7 @@ from repro.core import calibration as _calibration
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult, _concat_results
 from repro.core.params import NodeModelParams
-from repro.core.streaming import (
-    ReducedSpace,
-    SpaceBlock,
-    merge_block_reductions,
-    reduce_space_blocks,
-)
+from repro.core.streaming import ReducedSpace, reduce_space_blocks
 from repro.engine import executor as _executor
 from repro.engine.cache import ResultCache
 from repro.engine.checkpoint import CheckpointManager
@@ -365,51 +360,6 @@ class RunContext:
             units,
         )
 
-    def space_blocks(
-        self,
-        group_specs: Sequence[GroupSpec],
-        params: Mapping[str, NodeModelParams],
-        units: float,
-        memory_budget_mb: Optional[float] = None,
-        start_block: int = 0,
-        backend: Optional[Any] = None,
-        backend_options: Optional[Mapping[str, Any]] = None,
-        chunk_rows: Optional[int] = None,
-    ) -> Iterable[SpaceBlock]:
-        """Stream a k-group space as memory-bounded blocks, in row order.
-
-        The streaming twin of :meth:`space_groups`: blocks come from the
-        pool-backed :func:`repro.engine.executor.iter_space_groups_chunked`
-        (deterministically re-ordered), sized so that in-flight blocks
-        stay under ``memory_budget_mb`` (context default when omitted).
-        ``start_block`` skips the first blocks of the plan (checkpoint
-        resume).  The stream itself is not cached -- cache the
-        *reductions* via :meth:`space_reduced`.
-        """
-        group_specs = tuple(
-            gs if isinstance(gs, GroupSpec) else GroupSpec(*gs)
-            for gs in group_specs
-        )
-        budget = (
-            self.memory_budget_mb if memory_budget_mb is None
-            else memory_budget_mb
-        )
-        backend, backend_options = self._backend_args(backend, backend_options)
-        return _executor.iter_space_groups_chunked(
-            group_specs,
-            params,
-            units,
-            max_workers=self.max_workers,
-            memory_budget_mb=budget,
-            policy=self.resilience,
-            injector=self.faults,
-            emit=self.emit,
-            start_block=start_block,
-            backend=backend,
-            backend_options=backend_options,
-            chunk_rows=chunk_rows,
-        )
-
     def space_reduced(
         self,
         group_specs: Sequence[GroupSpec],
@@ -422,7 +372,6 @@ class RunContext:
         resume: bool = False,
         backend: Optional[Any] = None,
         backend_options: Optional[Mapping[str, Any]] = None,
-        reduce_at: Optional[str] = None,
         chunk_rows: Optional[int] = None,
     ) -> ReducedSpace:
         """Stream-reduce a k-group space to its compact artifact, memoized.
@@ -432,22 +381,16 @@ class RunContext:
         homogeneous frontiers, and -- when ``queueing`` passes
         :class:`~repro.queueing.dispatcher.Figure10Reducer` keyword
         arguments -- the window-level series, all bounded by the memory
-        budget.  The cache key is the space content plus the queueing
-        knobs; the budget is an execution detail and deliberately stays
-        out of it (the reduced artifacts are identical at any budget).
+        budget.  Each block task folds its own block and ships only the
+        frontier-sized reducer state, which is merged here in plan order.
+        The cache key is the space content plus the queueing knobs; the
+        budget is an execution detail and deliberately stays out of it
+        (the reduced artifacts are identical at any budget), as does
+        ``chunk_rows``, which pins the block row budget.
         ``consumers`` (e.g. a :class:`~repro.core.streaming.SpaceSpill`)
-        are side effects: passing any bypasses the cache so they always
-        observe the full stream.
-
-        ``reduce_at`` picks where the fold happens: ``"coordinator"``
-        (default) streams full blocks here and folds them; ``"worker"``
-        folds inside each block task and streams only compact reducer
-        states, which the coordinator merges in plan order -- artifacts
-        bit-identical either way, so both modes share cache entries (and
-        checkpoints: the snapshot shape is mode-independent).  Worker
-        mode cannot feed block ``consumers`` (they need the columns the
-        workers no longer ship).  ``chunk_rows`` pins the block row
-        budget; like the backend, both knobs stay out of the cache key.
+        need the block columns: passing any ships the columns here and
+        folds them through the same pass, and bypasses the cache so the
+        consumers always observe the full stream.
 
         ``checkpoint`` persists reducer state every ``checkpoint.every``
         blocks; with ``resume=True`` a valid saved state (same scenario
@@ -459,17 +402,6 @@ class RunContext:
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint manager")
-        mode = "coordinator" if reduce_at is None else str(reduce_at)
-        if mode not in ("coordinator", "worker"):
-            raise ValueError(
-                f"reduce_at must be 'coordinator' or 'worker', got {reduce_at!r}"
-            )
-        if mode == "worker" and consumers:
-            raise ValueError(
-                "reduce_at='worker' cannot feed block consumers (spill, "
-                "custom observers): workers ship reducer states, not block "
-                "columns -- use reduce_at='coordinator' for this run"
-            )
         group_specs = tuple(
             gs if isinstance(gs, GroupSpec) else GroupSpec(*gs)
             for gs in group_specs
@@ -482,8 +414,10 @@ class RunContext:
             from repro.queueing.dispatcher import Figure10Reducer
 
             f10 = None
+            pass_consumers = list(consumers)
             if queue_kw is not None:
                 f10 = Figure10Reducer(**queue_kw)
+                pass_consumers.append(f10)
             start_block = 0
             initial = None
             checkpoint_save = None
@@ -512,50 +446,31 @@ class RunContext:
                     state["plan_fingerprint"] = plan_fp
                     checkpoint.save(state)
 
-            checkpoint_every = (
-                checkpoint.every if checkpoint is not None else 8
-            )
             start = time.perf_counter()
-            if mode == "worker":
-                reduced = merge_block_reductions(
-                    _executor.iter_space_reductions(
-                        group_specs, params, units,
-                        max_workers=self.max_workers,
-                        memory_budget_mb=budget,
-                        policy=self.resilience,
-                        injector=self.faults,
-                        emit=self.emit,
-                        start_block=start_block,
-                        backend=backend,
-                        backend_options=backend_options,
-                        chunk_rows=chunk_rows,
-                        queueing=queue_kw,
-                    ),
-                    consumers=[f10] if f10 is not None else [],
-                    fold_hook=fold_hook,
-                    checkpoint_save=checkpoint_save,
-                    checkpoint_every=checkpoint_every,
-                    initial=initial,
-                )
-            else:
-                extra = list(consumers)
-                if f10 is not None:
-                    extra.append(f10)
-                reduced = reduce_space_blocks(
-                    self.space_blocks(
-                        group_specs, params, units,
-                        memory_budget_mb=memory_budget_mb,
-                        start_block=start_block,
-                        backend=backend,
-                        backend_options=backend_options,
-                        chunk_rows=chunk_rows,
-                    ),
-                    consumers=extra,
-                    fold_hook=fold_hook,
-                    checkpoint_save=checkpoint_save,
-                    checkpoint_every=checkpoint_every,
-                    initial=initial,
-                )
+            reduced = reduce_space_blocks(
+                _executor.iter_space_groups_chunked(
+                    group_specs,
+                    params,
+                    units,
+                    max_workers=self.max_workers,
+                    memory_budget_mb=budget,
+                    policy=self.resilience,
+                    injector=self.faults,
+                    emit=self.emit,
+                    start_block=start_block,
+                    backend=backend,
+                    backend_options=backend_options,
+                    chunk_rows=chunk_rows,
+                    reduce=None if consumers else {"queueing": queue_kw},
+                ),
+                consumers=pass_consumers,
+                fold_hook=fold_hook,
+                checkpoint_save=checkpoint_save,
+                checkpoint_every=(
+                    checkpoint.every if checkpoint is not None else 8
+                ),
+                initial=initial,
+            )
             if f10 is not None:
                 reduced.queueing = f10.finish()
             self.emit(
@@ -565,7 +480,6 @@ class RunContext:
                 full_nbytes=reduced.full_nbytes,
                 peak_block_nbytes=reduced.peak_block_nbytes,
                 resumed_from_block=start_block,
-                reduce_at=mode,
                 elapsed_s=time.perf_counter() - start,
             )
             return reduced

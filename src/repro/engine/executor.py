@@ -12,10 +12,12 @@ Two fan-out shapes cover the engine's needs:
   property test pins the chunked result against the whole-space
   evaluation bit-for-bit.
 * :func:`iter_space_groups_chunked` is the streaming twin: it yields the
-  same blocks as :class:`~repro.core.streaming.SpaceBlock` records *as
-  workers complete them*, re-ordered deterministically, so reducers can consume
-  the space while later blocks are still being evaluated -- the engine's
-  ``space_mode="streaming"`` block source.
+  same blocks *as workers complete them*, re-ordered deterministically,
+  so reducers can consume the space while later blocks are still being
+  evaluated -- the engine's ``space_mode="streaming"`` block source.
+  Each block task either ships its columns as a
+  :class:`~repro.core.streaming.SpaceBlock` or folds them in place and
+  ships the frontier-sized :class:`~repro.core.streaming.BlockReduction`.
 * :func:`parallel_map` fans independent replications (validation sweep
   points, noise replicates) across a process pool.
 
@@ -65,6 +67,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -268,30 +271,52 @@ def evaluate_space_groups_chunked(
     return _concat_results(blocks)
 
 
-def _space_job_stream(
-    group_specs: Tuple[GroupSpec, ...],
+def iter_space_groups_chunked(
+    group_specs: Sequence[GroupSpec],
     params: Mapping[str, NodeModelParams],
     units: float,
-    max_workers: Optional[int],
-    n_chunks: Optional[int],
-    memory_budget_mb: Optional[float],
-    chunk_rows: Optional[int],
-    policy: Optional[ResiliencePolicy],
-    injector: Optional[FaultInjector],
-    emit: Optional[Emit],
-    start_block: int,
-    backend: Optional[Any],
-    backend_options: Optional[Mapping[str, Any]],
-    reduce: Optional[Mapping[str, Any]],
-) -> Iterator[Tuple[int, int, Any]]:
-    """Plan, build the :class:`~repro.engine.job.SpaceJob`, stream results.
+    max_workers: Optional[int] = None,
+    n_chunks: Optional[int] = None,
+    memory_budget_mb: Optional[float] = None,
+    policy: Optional[ResiliencePolicy] = None,
+    injector: Optional[FaultInjector] = None,
+    emit: Optional[Emit] = None,
+    start_block: int = 0,
+    backend: Optional[Any] = None,
+    backend_options: Optional[Mapping[str, Any]] = None,
+    chunk_rows: Optional[int] = None,
+    reduce: Optional[Mapping[str, Any]] = None,
+) -> Iterator[Union[SpaceBlock, BlockReduction]]:
+    """Stream a k-group space block by block, backend-evaluated.
 
-    The shared core of :func:`iter_space_groups_chunked` (``reduce`` is
-    ``None``; results are block columns) and
-    :func:`iter_space_reductions` (``reduce`` holds the fold options;
-    results are :class:`~repro.core.streaming.BlockReduction`\\ s).
-    Yields ``(index, start_row, result)`` in plan order.
+    Blocks are yielded in the exact global row order of
+    :func:`repro.core.evaluate.evaluate_space_groups` -- a sliding window
+    of at most ``workers + 1`` blocks is in flight, and completed blocks
+    are re-ordered before yielding, so the stream reproduces the
+    materialized space bit-for-bit while peak memory stays within
+    ``memory_budget_mb``.  The re-ordering is the *backend's* contract
+    (:meth:`~repro.engine.backends.ExecutionBackend.submit_blocks`
+    yields in plan order whatever the completion order), so the stream
+    is identical under serial, pooled, or remote execution; local
+    backends still fall back to serial in-process evaluation, mid-stream
+    if necessary, when no pool is available.
+
+    With ``reduce`` unset each item is a :class:`SpaceBlock` carrying the
+    block's columns.  With ``reduce`` -- the keyword mapping of
+    :func:`~repro.core.streaming.fold_block_reduction` -- each block task
+    also folds its block and ships only the frontier-sized
+    :class:`~repro.core.streaming.BlockReduction`; a retried task
+    re-evaluates and re-folds its block from the first row.
+
+    ``policy``/``injector`` select the fault-tolerance behavior (see
+    :func:`repro.engine.resilience.iter_tasks_resilient`): failed tasks
+    are retried with deterministic backoff, dead workers replace the
+    pool, and abandoning the iterator terminates the workers instead of
+    leaking them.  ``start_block`` skips the first blocks of the plan
+    without evaluating them -- checkpoint resume; the yielded blocks
+    keep their global indices and row offsets.
     """
+    group_specs = tuple(group_specs)
     if units <= 0:
         raise ValueError("job must contain positive work")
     if not group_specs:
@@ -323,99 +348,10 @@ def _space_job_stream(
         start_index=start_block,
         job=job,
     ):
-        yield idx, job.starts[idx], result
-
-
-def iter_space_groups_chunked(
-    group_specs: Sequence[GroupSpec],
-    params: Mapping[str, NodeModelParams],
-    units: float,
-    max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
-    memory_budget_mb: Optional[float] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    injector: Optional[FaultInjector] = None,
-    emit: Optional[Emit] = None,
-    start_block: int = 0,
-    backend: Optional[Any] = None,
-    backend_options: Optional[Mapping[str, Any]] = None,
-    chunk_rows: Optional[int] = None,
-) -> Iterator[SpaceBlock]:
-    """Stream a k-group space as :class:`SpaceBlock`\\ s, backend-evaluated.
-
-    Blocks are yielded in the exact global row order of
-    :func:`repro.core.evaluate.evaluate_space_groups` -- a sliding window
-    of at most ``workers + 1`` blocks is in flight, and completed blocks
-    are re-ordered before yielding, so concatenating the stream
-    reproduces the materialized space bit-for-bit while peak memory
-    stays within ``memory_budget_mb``.  The re-ordering is the
-    *backend's* contract (:meth:`~repro.engine.backends.ExecutionBackend.submit_blocks`
-    yields in plan order whatever the completion order), so the reducer
-    feed is identical under serial, pooled, or remote execution; local
-    backends still fall back to serial in-process evaluation, mid-stream
-    if necessary, when no pool is available.
-
-    ``policy``/``injector`` select the fault-tolerance behavior (see
-    :func:`repro.engine.resilience.iter_tasks_resilient`): failed tasks
-    are retried with deterministic backoff, dead workers replace the
-    pool, and abandoning the iterator terminates the workers instead of
-    leaking them.  ``start_block`` skips the first blocks of the plan
-    without evaluating them -- checkpoint resume; the yielded blocks
-    keep their global indices and row offsets.
-    """
-    for idx, start_row, data in _space_job_stream(
-        tuple(group_specs), params, units, max_workers, n_chunks,
-        memory_budget_mb, chunk_rows, policy, injector, emit, start_block,
-        backend, backend_options, reduce=None,
-    ):
-        yield SpaceBlock(index=idx, start_row=start_row, data=data)
-
-
-def iter_space_reductions(
-    group_specs: Sequence[GroupSpec],
-    params: Mapping[str, NodeModelParams],
-    units: float,
-    max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
-    memory_budget_mb: Optional[float] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    injector: Optional[FaultInjector] = None,
-    emit: Optional[Emit] = None,
-    start_block: int = 0,
-    backend: Optional[Any] = None,
-    backend_options: Optional[Mapping[str, Any]] = None,
-    chunk_rows: Optional[int] = None,
-    composition: bool = True,
-    group_frontiers: bool = True,
-    queueing: Optional[Mapping[str, Any]] = None,
-) -> Iterator[BlockReduction]:
-    """Stream a k-group space as worker-folded reducer states.
-
-    The ``reduce_at="worker"`` twin of :func:`iter_space_groups_chunked`:
-    each block task evaluates its rows *and* folds them through local
-    reducers (:func:`~repro.core.streaming.fold_block_reduction`), so
-    only the compact :class:`~repro.core.streaming.BlockReduction`
-    states cross the worker boundary -- kilobytes per block instead of
-    the block's full column stack.  States arrive in plan order;
-    :func:`~repro.core.streaming.merge_block_reductions` folds them into
-    a :class:`~repro.core.streaming.ReducedSpace` bit-identical to the
-    coordinator-side pass.  A retried task re-evaluates and re-folds its
-    block from the first row, so the retry/replace/degrade ladder and
-    ``start_block`` resume work exactly as they do for raw blocks.
-    ``queueing``, when given, is the keyword mapping for the worker-side
-    :class:`~repro.queueing.dispatcher.Figure10Reducer`.
-    """
-    reduce_options: dict = {
-        "composition": bool(composition),
-        "group_frontiers": bool(group_frontiers),
-        "queueing": None if queueing is None else dict(queueing),
-    }
-    for _, _, reduction in _space_job_stream(
-        tuple(group_specs), params, units, max_workers, n_chunks,
-        memory_budget_mb, chunk_rows, policy, injector, emit, start_block,
-        backend, backend_options, reduce=reduce_options,
-    ):
-        yield reduction
+        if reduce is None:
+            yield SpaceBlock(index=idx, start_row=job.starts[idx], data=result)
+        else:
+            yield result
 
 
 def evaluate_space_chunked(

@@ -5,8 +5,8 @@ tuple, the calibration params mapping, and the work units into its
 argument tuple -- identical bytes re-serialized per task, dominating the
 submission cost of fine-grained plans.  A :class:`SpaceJob` bundles the
 immutable inputs of one space fan-out (specs, params, units, the exact
-block plan with its row offsets, and the optional worker-side reduction
-options) so they ship **once per worker**:
+block plan with its row offsets, and the optional block-fold options)
+so they ship **once per worker**:
 
 * process pools install the job via the pool *initializer* (and fork
   inheritance covers the common Linux path for free);
@@ -17,12 +17,12 @@ options) so they ship **once per worker**:
 Each task then carries only ``(job_id, block_index)`` -- a few dozen
 bytes -- and resolves the heavy state from the process-local registry.
 :func:`run_block` is the universal task body: evaluate the indexed block
-and either return its columns (``reduce_at="coordinator"``) or fold it
-through local reducers and return the compact
-:class:`~repro.core.streaming.BlockReduction`
-(``reduce_at="worker"``).  Because a retried task re-runs
-:func:`run_block` from scratch, a worker-side fold always restarts from
-its block's first row -- reduction state never leaks across attempts.
+and either return its columns (a coordinator-side consumer needs them)
+or fold it through a fresh reducer pass and return the compact
+:class:`~repro.core.streaming.BlockReduction`.  Because a retried task
+re-runs :func:`run_block` from scratch, a block fold always restarts
+from its block's first row -- reduction state never leaks across
+attempts.
 
 The registry is a small LRU (jobs are per-fan-out, workers outlive
 fan-outs on stateful backends), keyed by an id that is unique per
@@ -61,11 +61,10 @@ class SpaceJob:
 
     ``task_counts[i]`` is block ``i``'s per-group count tuple (the shape
     :func:`~repro.core.streaming.evaluate_block_task` consumes) and
-    ``starts[i]`` its global row offset.  ``reduce`` is ``None`` for
-    coordinator-side reduction (tasks return raw columns) or the keyword
-    mapping for :func:`~repro.core.streaming.fold_block_reduction`
-    (``composition`` / ``group_frontiers`` / ``queueing``) for
-    worker-side reduction.
+    ``starts[i]`` its global row offset.  ``reduce`` is ``None`` when
+    tasks return raw columns, or the keyword mapping for
+    :func:`~repro.core.streaming.fold_block_reduction` (``queueing``)
+    when each task folds its own block.
     """
 
     job_id: str
@@ -114,10 +113,9 @@ def run_block(job_id: str, index: int) -> Any:
 
     The task body every space fan-out submits: a few-byte argument tuple
     instead of the re-pickled plan.  Returns the block's
-    :class:`~repro.core.evaluate.ConfigSpaceResult` when the job reduces
-    at the coordinator, or its folded
-    :class:`~repro.core.streaming.BlockReduction` when it reduces at the
-    worker.
+    :class:`~repro.core.evaluate.ConfigSpaceResult` when the job has no
+    ``reduce`` options, or its folded
+    :class:`~repro.core.streaming.BlockReduction` when it has.
     """
     job = get_job(job_id)
     data: ConfigSpaceResult = evaluate_block_task(

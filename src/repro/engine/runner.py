@@ -276,7 +276,6 @@ def run_scenario(
                 consumers=(spill,) if spill is not None else (),
                 checkpoint=checkpoint,
                 resume=resume,
-                reduce_at=scenario.reduce_at,
                 chunk_rows=scenario.chunk_rows,
                 **backend_kw,
             )

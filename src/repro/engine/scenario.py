@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -37,6 +38,9 @@ _STAGE_IMPLIES = {"regions": ("frontier",), "queueing": ()}
 
 #: The historical two-type spelling of the group axes.
 _PAIR_FIELDS = ("node_a", "node_b", "max_a", "max_b", "counts_a", "counts_b")
+
+#: Fields earlier releases stored; :meth:`Scenario.from_dict` drops them.
+_RETIRED_FIELDS = ("reduce_at",)
 
 #: Admissible ``Scenario.search`` strategies.
 SEARCH_STRATEGIES = ("exhaustive", "random", "ga", "anneal")
@@ -220,14 +224,6 @@ class Scenario:
         Peak-memory budget for streaming evaluation, megabytes;
         ``None`` uses :data:`repro.core.streaming.DEFAULT_MEMORY_BUDGET_MB`.
         An execution knob, excluded from the cache identity.
-    reduce_at:
-        Where the streaming fold happens: ``"coordinator"`` (default)
-        ships full evaluated blocks back and folds them centrally;
-        ``"worker"`` folds each block inside the worker that evaluated
-        it and ships only compact reducer states, which the coordinator
-        merges in plan order.  Artifacts are bit-identical either way,
-        so -- like ``space_mode`` -- the knob is excluded from the cache
-        identity.  ``"worker"`` requires ``space_mode="streaming"``.
     chunk_rows:
         Explicit row budget per streaming block, overriding the adaptive
         chunk planner.  An execution knob, excluded from the cache
@@ -275,7 +271,6 @@ class Scenario:
     simulation: str = "batched"
     space_mode: str = "materialized"
     memory_budget_mb: Optional[float] = None
-    reduce_at: str = "coordinator"
     chunk_rows: Optional[int] = None
     name: Optional[str] = None
     node_types: Optional[Tuple[NodeGroup, ...]] = None
@@ -332,16 +327,6 @@ class Scenario:
             self.memory_budget_mb, "memory_budget_mb"
         ) <= 0:
             raise ValueError("memory budget must be positive")
-        if self.reduce_at not in ("coordinator", "worker"):
-            raise ValueError(
-                f"reduce_at must be 'coordinator' or 'worker', got "
-                f"{self.reduce_at!r}"
-            )
-        if self.reduce_at == "worker" and self.space_mode != "streaming":
-            raise ValueError(
-                "reduce_at='worker' requires space_mode='streaming' -- "
-                "materialized runs keep full blocks by definition"
-            )
         if self.chunk_rows is not None:
             object.__setattr__(self, "chunk_rows", int(self.chunk_rows))
             if self.chunk_rows <= 0:
@@ -439,7 +424,21 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        """Inverse of :meth:`to_dict`; unknown keys raise for typo safety."""
+        """Inverse of :meth:`to_dict`; unknown keys raise for typo safety.
+
+        ``reduce_at``, which scenarios stored by earlier releases carry,
+        is ignored with a :class:`DeprecationWarning`: every streaming
+        block is now folded where it is evaluated.
+        """
+        retired = sorted(set(data) & set(_RETIRED_FIELDS))
+        if retired:
+            warnings.warn(
+                f"ignoring retired scenario fields {retired}: every "
+                "streaming block is now folded where it is evaluated",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -466,21 +465,19 @@ class Scenario:
 
         Drops the cosmetic ``name`` and the implementation choices
         (``simulation``, ``space_mode``, ``memory_budget_mb``,
-        ``reduce_at``, ``chunk_rows``, ``backend``,
-        ``backend_options``) -- batched and reference runs
-        are bit-identical, streaming produces the same reduced artifacts
-        as materializing, and every execution backend produces the same
-        bytes, so they all share cache entries.  The node-type axes are
-        canonicalized to the group list, so a two-type scenario written
-        with the pair fields and the same one written with
-        ``node_types`` share entries too.
+        ``chunk_rows``, ``backend``, ``backend_options``) -- batched and
+        reference runs are bit-identical, streaming produces the same
+        reduced artifacts as materializing, and every execution backend
+        produces the same bytes, so they all share cache entries.  The
+        node-type axes are canonicalized to the group list, so a
+        two-type scenario written with the pair fields and the same one
+        written with ``node_types`` share entries too.
         """
         raw = self.to_dict()
         raw.pop("name")
         raw.pop("simulation")
         raw.pop("space_mode")
         raw.pop("memory_budget_mb")
-        raw.pop("reduce_at")
         raw.pop("chunk_rows")
         raw.pop("backend")
         raw.pop("backend_options")

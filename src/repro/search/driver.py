@@ -6,11 +6,11 @@ deduplicates rows against everything already evaluated (cached rows cost
 no budget and are fed back from memory), pushes the genuinely new rows
 through an injectable ``evaluate_fn`` (the engine supplies one that
 fans out over the execution backends), folds the evaluated columns
-through the *exact* reducer structure of
-:func:`repro.core.streaming.reduce_space_blocks` -- whole-space
-:class:`~repro.core.streaming.FrontierReducer` with composition and
-node-count payloads, masked per-group reducers with running offsets --
-and hands the combined time/energy columns back to the source.
+through the streaming pipeline's own
+:class:`~repro.core.streaming.ReducerPass` -- whole-space frontier with
+composition and node-count payloads, per-group frontiers with running
+offsets -- and hands the combined time/energy columns back to the
+source.
 
 The resulting :class:`~repro.core.streaming.ReducedSpace` is therefore
 shaped identically to a streamed exhaustive reduction (row indices are
@@ -52,12 +52,7 @@ from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult
 from repro.core.params import NodeModelParams
 from repro.core.pareto import ParetoFrontier
-from repro.core.streaming import (
-    FrontierReducer,
-    ReducedSpace,
-    composition_labels,
-    solo_groups,
-)
+from repro.core.streaming import ReducedSpace, ReducerPass, SpaceBlock
 from repro.search.evaluator import evaluate_candidate_rows
 from repro.search.space import SearchSpace
 from repro.search.trajectory import (
@@ -130,120 +125,6 @@ class SearchedSpace:
         return out
 
 
-class _ReducerPass:
-    """The per-round fold: the exact reducer structure of
-    :func:`repro.core.streaming.reduce_space_blocks`."""
-
-    def __init__(self, composition: bool, group_frontiers: bool):
-        self.composition = composition
-        self.group_frontiers = group_frontiers
-        self.main: Optional[FrontierReducer] = None
-        self.per_group: List[FrontierReducer] = []
-        self.group_offsets: List[int] = []
-        self.nodes: Tuple[str, ...] = ()
-        self.units_total = 0.0
-        self.total_rows = 0
-        self.num_blocks = 0
-        self.full_nbytes = 0
-        self.peak_block = 0
-
-    def _build(self, num_groups: int) -> None:
-        extras = (["solo"] if self.composition else []) + [
-            f"n{g}" for g in range(num_groups)
-        ]
-        self.main = FrontierReducer(extra_names=extras)
-        if self.group_frontiers:
-            self.per_group = [FrontierReducer() for _ in range(num_groups)]
-            self.group_offsets = [0] * num_groups
-
-    def fold(self, data: ConfigSpaceResult) -> None:
-        if self.main is None:
-            self.nodes = data.nodes
-            self.units_total = data.units_total
-            self._build(data.num_groups)
-        extra: Dict[str, np.ndarray] = {
-            f"n{g}": data.n[g] for g in range(data.num_groups)
-        }
-        if self.composition:
-            extra["solo"] = solo_groups(data.n)
-        self.main.update(
-            data.times_s, data.energies_j, start_row=self.total_rows,
-            extra=extra,
-        )
-        if self.group_frontiers:
-            for g, reducer in enumerate(self.per_group):
-                mask = data.is_only(g)
-                hit = int(np.count_nonzero(mask))
-                if hit:
-                    reducer.update(
-                        data.times_s[mask],
-                        data.energies_j[mask],
-                        start_row=self.group_offsets[g],
-                    )
-                self.group_offsets[g] += hit
-        self.total_rows += len(data)
-        self.num_blocks += 1
-        self.full_nbytes += data.nbytes
-        self.peak_block = max(self.peak_block, data.nbytes)
-
-    def finish(self) -> ReducedSpace:
-        if self.main is None:
-            raise ValueError("search evaluated no rows: nothing to reduce")
-        frontier = self.main.finish()
-        reduced = ReducedSpace(
-            nodes=self.nodes,
-            units_total=self.units_total,
-            total_rows=self.total_rows,
-            num_blocks=self.num_blocks,
-            full_nbytes=self.full_nbytes,
-            peak_block_nbytes=self.peak_block,
-            frontier=frontier,
-        )
-        if frontier is not None:
-            reduced.frontier_n = np.stack(
-                [self.main.extra(f"n{g}") for g in range(len(self.nodes))]
-            ).astype(np.int64)
-            if self.composition:
-                reduced.composition = composition_labels(
-                    self.main.extra("solo")
-                )
-        if self.group_frontiers:
-            reduced.group_frontiers = tuple(
-                r.finish() for r in self.per_group
-            )
-        return reduced
-
-    # ---- checkpoint ----------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "nodes": self.nodes,
-            "units_total": self.units_total,
-            "total_rows": self.total_rows,
-            "num_blocks": self.num_blocks,
-            "full_nbytes": self.full_nbytes,
-            "peak_block_nbytes": self.peak_block,
-            "group_offsets": list(self.group_offsets),
-            "main": None if self.main is None else self.main.state_dict(),
-            "groups": [r.state_dict() for r in self.per_group],
-        }
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.nodes = tuple(state["nodes"])
-        self.units_total = float(state["units_total"])
-        self.total_rows = int(state["total_rows"])
-        self.num_blocks = int(state["num_blocks"])
-        self.full_nbytes = int(state["full_nbytes"])
-        self.peak_block = int(state["peak_block_nbytes"])
-        if state["main"] is not None:
-            self._build(len(self.nodes))
-            self.main.load_state(state["main"])
-            if self.group_frontiers:
-                for reducer, st in zip(self.per_group, state["groups"]):
-                    reducer.load_state(st)
-                self.group_offsets = list(state["group_offsets"])
-
-
 def run_search(
     group_specs: Sequence[GroupSpec],
     params: Mapping[str, NodeModelParams],
@@ -292,7 +173,7 @@ def run_search(
             return evaluate_candidate_rows(group_specs, params, units, n, cores, f)
 
     budget = min(int(budget_rows), space.total_rows)
-    reducers = _ReducerPass(composition, group_frontiers)
+    reducers = ReducerPass(composition, group_frontiers)
     seen: Dict[RowKey, Tuple[float, float]] = {}
     trajectory = SearchTrajectory(
         strategy=source.name,
@@ -341,7 +222,12 @@ def run_search(
                 f"evaluator returned {len(data)} rows for {len(keys)} "
                 "candidates"
             )
-        reducers.fold(data)
+        reducers.fold(
+            SpaceBlock(
+                index=reducers.num_blocks, start_row=reducers.total_rows,
+                data=data,
+            )
+        )
         seen.update(
             zip(keys, zip(data.times_s.tolist(), data.energies_j.tolist()))
         )

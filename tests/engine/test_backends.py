@@ -9,7 +9,9 @@ the scenario cache identity never varies with the backend.  Each class
 below pins one face of that contract across the whole matrix.
 """
 
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.engine.backends import (
 from repro.engine.context import RunContext
 from repro.engine.executor import evaluate_space_groups_chunked
 from repro.engine.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.engine.hashing import stable_hash
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.runner import run_scenario
 from repro.engine.scenario import Scenario
@@ -394,60 +397,100 @@ class TestScenarioConformance:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side reduction: the same contract with reduce_at="worker"
+# The block fold against the batch oracle
 # ---------------------------------------------------------------------------
+
+#: A mid-pass checkpoint of ``streaming_scenario()`` written by an earlier
+#: release, under ``RunContext(max_workers=2)`` with ``checkpoint_every=1``
+#: and a ``fold_error`` before block 4.  That release folded blocks either
+#: at the coordinator or in the workers, and wrote these same bytes both
+#: ways.
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "streaming_ep6x6_block4.ckpt"
+
+
+def _assert_matches_oracle(oracle, result):
+    """A streamed run against the materialized batch run, bit for bit."""
+    assert len(oracle.group_frontiers) == len(result.group_frontiers)
+    for fa, fb in zip(
+        (oracle.frontier, *oracle.group_frontiers),
+        (result.frontier, *result.group_frontiers),
+    ):
+        assert (fa is None) == (fb is None)
+        if fa is not None:
+            assert np.array_equal(fa.times_s, fb.times_s)
+            assert np.array_equal(fa.energies_j, fb.energies_j)
+            assert np.array_equal(fa.indices, fb.indices)
+    assert result.num_configurations == len(oracle.space)
+    assert oracle.regions.composition == result.regions.composition
+    assert sorted(oracle.queueing) == sorted(result.queueing)
+    for u in oracle.queueing:
+        assert oracle.queueing[u] == result.queueing[u]
 
 
 class TestWorkerReduceConformance:
-    """The scenario conformance matrix again, folding inside the workers.
+    """The scenario conformance matrix against the batch oracle.
 
-    ``reduce_at="worker"`` changes what crosses the wire (reducer states
-    instead of block columns) but must change nothing observable: every
-    backend bit-identical to the serial coordinator-side reference,
-    through fault plans, checkpoint/resume (including checkpoints
-    written by the *other* mode), with the cache identity untouched.
+    Each block task folds its own block through a fresh reducer pass and
+    ships only the pass's state, which the coordinator merges in plan
+    order; a run with a spill consumer ships the columns instead and
+    folds them here through the same pass.  Every backend must reproduce
+    the materialized run -- ``ParetoFrontier.from_points`` over the whole
+    space -- bit for bit, through fault plans and checkpoint/resume
+    (including a checkpoint written by an earlier release), with the
+    cache identity untouched.
     """
 
     @pytest.fixture(scope="class")
-    def serial_reference(self):
-        return run_scenario(streaming_scenario(), RunContext(max_workers=1))
+    def batch_oracle(self):
+        return run_scenario(
+            streaming_scenario(space_mode="materialized"),
+            RunContext(max_workers=1),
+        )
 
     @pytest.mark.parametrize("name, options", MATRIX)
-    def test_artifacts_bit_identical(self, name, options, serial_reference):
-        scenario = streaming_scenario(reduce_at="worker").with_(
+    def test_artifacts_bit_identical(self, name, options, batch_oracle):
+        scenario = streaming_scenario().with_(
             backend=name, backend_options=options
         )
         result = run_scenario(scenario, RunContext(max_workers=2))
-        _assert_results_identical(serial_reference, result)
+        _assert_matches_oracle(batch_oracle, result)
 
-    def test_chunk_rows_override_stays_bit_identical(self, serial_reference):
-        scenario = streaming_scenario(reduce_at="worker", chunk_rows=777)
+    def test_chunk_rows_override_stays_bit_identical(self, batch_oracle):
+        scenario = streaming_scenario(chunk_rows=777)
         result = run_scenario(scenario, RunContext(max_workers=2))
-        _assert_results_identical(serial_reference, result)
+        _assert_matches_oracle(batch_oracle, result)
 
     def test_cache_identity_ignores_reduce_at_and_chunk_rows(self):
+        stored = dict(streaming_scenario().to_dict(), reduce_at="worker")
+        with pytest.warns(DeprecationWarning, match="reduce_at"):
+            retired = Scenario.from_dict(stored)
         identities = {
-            repr(streaming_scenario(**kw).cache_identity())
-            for kw in [
-                {},
-                {"reduce_at": "worker"},
-                {"chunk_rows": 1000},
-                {"reduce_at": "worker", "chunk_rows": 5000},
+            repr(scenario.cache_identity())
+            for scenario in [
+                streaming_scenario(),
+                retired,
+                streaming_scenario(chunk_rows=1000),
+                retired.with_(chunk_rows=5000),
             ]
         }
         assert len(identities) == 1
 
-    def test_worker_reduce_requires_streaming(self):
-        with pytest.raises(ValueError, match="space_mode='streaming'"):
-            Scenario(workload="ep", reduce_at="worker")
-        with pytest.raises(ValueError, match="reduce_at"):
-            streaming_scenario(reduce_at="sideways")
-
-    def test_worker_reduce_rejects_block_consumers(self, tmp_path):
-        scenario = streaming_scenario(reduce_at="worker")
-        with pytest.raises(ValueError, match="consumers"):
-            run_scenario(
-                scenario, RunContext(max_workers=2), spill_dir=tmp_path
+    def test_block_consumers_fold_at_the_coordinator(
+        self, tmp_path, batch_oracle
+    ):
+        # A spill needs the columns: they ship to the coordinator, fold
+        # through the same pass there, and spill the whole space.
+        scenario = streaming_scenario().with_(
+            backend="process_pool", backend_options={"workers": 2}
+        )
+        result = run_scenario(
+            scenario, RunContext(max_workers=2), spill_dir=tmp_path
+        )
+        _assert_matches_oracle(batch_oracle, result)
+        for column in ("n", "cores", "f", "units", "times_s", "energies_j"):
+            assert np.array_equal(
+                getattr(batch_oracle.space, column),
+                getattr(result.space, column),
             )
 
     @pytest.mark.parametrize(
@@ -484,7 +527,7 @@ class TestWorkerReduceConformance:
         ],
     )
     def test_faulted_run_bit_identical(
-        self, name, options, kind, serial_reference
+        self, name, options, kind, batch_oracle
     ):
         # A retried task re-evaluates AND re-folds its block from the
         # start; the merged artifacts must not notice.
@@ -493,7 +536,7 @@ class TestWorkerReduceConformance:
             if kind in ("worker_vanish", "net_delay")
             else FaultSpec(kind=kind, task=1)
         )
-        scenario = streaming_scenario(reduce_at="worker").with_(
+        scenario = streaming_scenario().with_(
             backend=name, backend_options=options
         )
         events = []
@@ -503,7 +546,7 @@ class TestWorkerReduceConformance:
             sinks=(lambda event, payload: events.append(event),),
         )
         result = run_scenario(scenario, ctx)
-        _assert_results_identical(serial_reference, result)
+        _assert_matches_oracle(batch_oracle, result)
         if kind in ("crash",):
             assert "resilience.retry" in events
         elif kind in ("kill", "worker_vanish"):
@@ -520,9 +563,9 @@ class TestWorkerReduceConformance:
         ],
     )
     def test_interrupted_resume_bit_identical(
-        self, name, options, tmp_path, serial_reference
+        self, name, options, tmp_path, batch_oracle
     ):
-        scenario = streaming_scenario(reduce_at="worker").with_(
+        scenario = streaming_scenario().with_(
             backend=name, backend_options=options
         )
         chaos_ctx = RunContext(
@@ -543,51 +586,58 @@ class TestWorkerReduceConformance:
             ),
             checkpoint_dir=tmp_path, resume=True, checkpoint_every=1,
         )
-        _assert_results_identical(serial_reference, resumed)
+        _assert_matches_oracle(batch_oracle, resumed)
         reduced = [p for e, p in events if e == "space.reduced"]
         assert reduced and reduced[0]["resumed_from_block"] == 4
 
     @pytest.mark.parametrize(
-        "first, second",
+        "name, options",
         [
-            pytest.param("worker", "coordinator", id="worker-to-coordinator"),
-            pytest.param("coordinator", "worker", id="coordinator-to-worker"),
+            pytest.param("serial", None, id="serial"),
+            pytest.param("process_pool", {"workers": 2}, id="process_pool"),
+            pytest.param("tcp_remote", dict(REMOTE_OPTS), id="tcp_remote"),
         ],
     )
-    def test_cross_mode_checkpoint_interop(
-        self, first, second, tmp_path, serial_reference
+    def test_parent_checkpoint_resumes(
+        self, name, options, tmp_path, batch_oracle
     ):
-        # Checkpoints carry mode-independent reducer state: a run
-        # interrupted under one reduce_at resumes under the other.
-        chaos_ctx = RunContext(
-            max_workers=2,
-            faults=FaultPlan(faults=(FaultSpec(kind="fold_error", task=4),)),
+        scenario = streaming_scenario().with_(
+            backend=name, backend_options=options
         )
-        with pytest.raises(InjectedFault):
-            run_scenario(
-                streaming_scenario(reduce_at=first), chaos_ctx,
-                checkpoint_dir=tmp_path, checkpoint_every=1,
-            )
+        fingerprint = stable_hash(
+            ("scenario-checkpoint", scenario.cache_identity())
+        )
+        shutil.copyfile(
+            PARENT_CHECKPOINT, tmp_path / f"checkpoint-{fingerprint}.ckpt"
+        )
+        events = []
         resumed = run_scenario(
-            streaming_scenario(reduce_at=second),
-            RunContext(max_workers=2),
+            scenario,
+            RunContext(
+                max_workers=2,
+                sinks=(lambda event, payload: events.append((event, payload)),),
+            ),
             checkpoint_dir=tmp_path, resume=True, checkpoint_every=1,
         )
-        _assert_results_identical(serial_reference, resumed)
+        _assert_matches_oracle(batch_oracle, resumed)
+        reduced = [p for e, p in events if e == "space.reduced"]
+        assert reduced and reduced[0]["resumed_from_block"] == 4
 
     @pytest.mark.parametrize("reduce_at", ["coordinator", "worker"])
-    def test_shm_run_leaves_no_segments(self, reduce_at):
-        # Zero-copy decode unlinks segments immediately; worker-side
-        # reduction ships no columns at all.  Either way /dev/shm must
-        # end exactly where it started.
+    def test_shm_run_leaves_no_segments(self, reduce_at, tmp_path):
+        # Zero-copy decode unlinks segments immediately, whether the
+        # columns ship to the coordinator (a spill needs them) or each
+        # worker folds its block and ships reducer states.  Either way
+        # /dev/shm must end exactly where it started.
         import glob
 
-        scenario = streaming_scenario(reduce_at=reduce_at).with_(
+        scenario = streaming_scenario().with_(
             backend="process_pool",
             backend_options={"workers": 2, "shared_memory": True},
         )
+        spill_dir = tmp_path if reduce_at == "coordinator" else None
         before = set(glob.glob("/dev/shm/*"))
-        run_scenario(scenario, RunContext(max_workers=2))
+        run_scenario(scenario, RunContext(max_workers=2), spill_dir=spill_dir)
         after = set(glob.glob("/dev/shm/*"))
         assert after - before == set()
 

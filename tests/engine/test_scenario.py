@@ -1,9 +1,16 @@
 """Scenario: declarative experiment descriptions and their serialization."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.engine.hashing import stable_hash
 from repro.engine.scenario import STAGES, Scenario
+from repro.engine.stagegraph import scenario_identity
+
+#: A scenario file as an earlier release wrote it (with ``reduce_at``).
+PARENT_SCENARIO = Path(__file__).parent / "data" / "parent_scenario.json"
 
 
 class TestValidation:
@@ -113,6 +120,36 @@ class TestSerialization:
     def test_to_dict_is_json_plain(self):
         raw = Scenario(workload="ep").to_dict()
         assert not any(isinstance(v, tuple) for v in raw.values())
+
+    def test_retired_reduce_at_key_ignored(self):
+        # A scenario file an earlier release wrote: it carries the
+        # retired ``reduce_at`` field, set to a value that release
+        # accepted only for streaming runs.
+        with pytest.warns(DeprecationWarning, match="reduce_at") as caught:
+            s = Scenario.from_file(PARENT_SCENARIO)
+        assert sum(w.category is DeprecationWarning for w in caught) == 1
+        assert s.space_mode == "streaming"
+        assert "reduce_at" not in s.to_dict()
+        # The identities that release computed for the same file.
+        assert stable_hash(s.cache_identity()) == (
+            "92f72000427299662d3d608d7166e5889b649127a3e7bd2474b32da4f916aea4"
+        )
+        assert scenario_identity(s) == (
+            "678ec9e6ff4c366f4ec8e12e026c1741ba7cf165bf07952eadeda98ef44d4d6f"
+        )
+        stored = json.loads(PARENT_SCENARIO.read_text())
+        with pytest.warns(DeprecationWarning):
+            again = Scenario.from_dict(
+                dict(stored, space_mode="materialized", reduce_at="sideways")
+            )
+        assert again.space_mode == "materialized"
+
+    def test_retired_key_admits_no_unknown_keys(self):
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(ValueError, match=r"unknown scenario fields \['max_arm'\]"):
+                Scenario.from_dict(
+                    {"workload": "ep", "reduce_at": "worker", "max_arm": 3}
+                )
 
 
 class TestIdentity:

@@ -1,13 +1,18 @@
-"""Worker-side reduction must be invisible: merge == fold, bit for bit.
+"""The block fold must be invisible: fold == merge == batch, bit for bit.
 
-``reduce_at="worker"`` ships per-block reducer states instead of block
-columns, and the coordinator merges them in plan order.  The contract is
-exact equality with the coordinator-side fold -- same frontier points,
-same original-point indices (tie-for-tie on duplicate points), same
-composition labels, per-group frontiers, and queueing series.  These
-properties pin that contract on random partitions of 2-, 3-, and 4-type
-spaces, plus merge associativity and order determinism on synthetic
-duplicate-heavy Pareto clouds.
+Every exhaustive streaming block is folded where it is evaluated: the
+block task folds its block through a fresh
+:class:`~repro.core.streaming.ReducerPass` and ships the pass's state,
+which the coordinator merges in plan order.  Columns reach the
+coordinator only for consumers that need them (the spill), which fold
+through the same pass in-process.  The contract is exact equality of
+both routes with the batch oracle -- ``ParetoFrontier.from_points`` over
+the materialized space: same frontier points, same original-point
+indices (tie-for-tie on duplicate points), same composition labels,
+per-group frontiers, and queueing series.  These properties pin that
+contract on random partitions of 2-, 3-, and 4-type spaces, plus merge
+associativity and order determinism on synthetic duplicate-heavy Pareto
+clouds, and the NaN-energy rule that keeps fold and batch in agreement.
 """
 
 import dataclasses
@@ -16,20 +21,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.core.calibration import ground_truth_params
 from repro.core.configuration import GroupSpec
-from repro.core.pareto import ParetoFrontier
+from repro.core.evaluate import evaluate_space_groups
+from repro.core.pareto import ParetoFrontier, pareto_indices
 from repro.core.streaming import (
     FrontierReducer,
+    ReducerPass,
     TopKReducer,
     fold_block_reduction,
     iter_space_blocks,
-    merge_block_reductions,
     reduce_space_blocks,
 )
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.hardware.extension import INTEL_ATOM
-from repro.queueing.dispatcher import Figure10Reducer
+from repro.queueing.dispatcher import Figure10Reducer, figure10_series
 from repro.workloads.extension import with_atom
 from repro.workloads.suite import EP
 
@@ -250,7 +258,46 @@ class TestTopKMerge:
             raise AssertionError("k mismatch must not merge")
 
 
+def _batch_oracle(groups, params):
+    """The reduced artifacts, computed in one batch over the whole space."""
+    space = evaluate_space_groups(groups, params, UNITS)
+    frontier = ParetoFrontier.from_points(space.times_s, space.energies_j)
+    labels = []
+    for i in frontier.indices:
+        present = [g for g in range(space.num_groups) if space.n[g, i] > 0]
+        labels.append(
+            "hetero" if len(present) > 1 else f"only-{chr(ord('a') + present[0])}"
+        )
+    group_frontiers = []
+    for g in range(space.num_groups):
+        mask = space.is_only(g)
+        group_frontiers.append(
+            ParetoFrontier.from_points(
+                space.times_s[mask], space.energies_j[mask]
+            ) if mask.any() else None
+        )
+    return space, frontier, tuple(labels), tuple(group_frontiers)
+
+
+def assert_reduced_matches_oracle(reduced, oracle):
+    space, frontier, labels, group_frontiers = oracle
+    assert reduced.nodes == space.nodes
+    assert reduced.total_rows == len(space)
+    assert reduced.full_nbytes == space.nbytes
+    assert_frontiers_identical(frontier, reduced.frontier)
+    np.testing.assert_array_equal(space.n[:, frontier.indices], reduced.frontier_n)
+    assert reduced.composition == labels
+    assert len(reduced.group_frontiers) == len(group_frontiers)
+    for f1, f2 in zip(group_frontiers, reduced.group_frontiers):
+        assert (f1 is None) == (f2 is None)
+        if f1 is not None:
+            assert_frontiers_identical(f1, f2)
+
+
 class TestWorkerFoldEqualsCoordinatorFold:
+    """Merged block-task folds and an in-process fold, each against the
+    batch oracle."""
+
     @given(
         max_a=st.integers(1, 5),
         max_b=st.integers(1, 4),
@@ -284,18 +331,50 @@ class TestWorkerFoldEqualsCoordinatorFold:
         )
 
     def _check(self, groups, params, max_block_rows):
-        coordinator = reduce_space_blocks(
-            iter_space_blocks(
-                groups, params, UNITS, max_block_rows=max_block_rows
-            )
+        blocks = list(
+            iter_space_blocks(groups, params, UNITS, max_block_rows=max_block_rows)
         )
-        worker = merge_block_reductions(
-            fold_block_reduction(block)
-            for block in iter_space_blocks(
-                groups, params, UNITS, max_block_rows=max_block_rows
-            )
+        folded = reduce_space_blocks(iter(blocks))
+        merged = reduce_space_blocks(fold_block_reduction(b) for b in blocks)
+        oracle = _batch_oracle(groups, params)
+        assert_reduced_matches_oracle(folded, oracle)
+        assert_reduced_matches_oracle(merged, oracle)
+        assert_reduced_identical(folded, merged)
+
+    @given(
+        max_a=st.integers(1, 4),
+        max_b=st.integers(1, 3),
+        max_block_rows=st.integers(1, 2000),
+        cut_share=st.floats(0.0, 1.0),
+        fold_first=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_snapshot_resumes_across_fold_and_merge(
+        self, max_a, max_b, max_block_rows, cut_share, fold_first
+    ):
+        # A snapshot of folded blocks resumes by merging block-task
+        # states, and the other way round: the state has one shape.
+        groups = _two(max_a, max_b)
+        blocks = list(
+            iter_space_blocks(groups, PARAMS, UNITS, max_block_rows=max_block_rows)
         )
-        assert_reduced_identical(coordinator, worker)
+        cut = int(cut_share * len(blocks))
+        first = ReducerPass()
+        for block in blocks[:cut]:
+            if fold_first:
+                first.fold(block)
+            else:
+                first.merge(fold_block_reduction(block).state)
+        resumed = ReducerPass()
+        resumed.load_state(first.state_dict())
+        for block in blocks[cut:]:
+            if fold_first:
+                resumed.merge(fold_block_reduction(block).state)
+            else:
+                resumed.fold(block)
+        assert_reduced_matches_oracle(
+            resumed.finish(), _batch_oracle(groups, PARAMS)
+        )
 
     @given(max_a=st.integers(1, 4), max_b=st.integers(1, 3))
     @settings(max_examples=8, deadline=None)
@@ -308,13 +387,8 @@ class TestWorkerFoldEqualsCoordinatorFold:
             utilizations=(0.05, 0.25),
             window_s=20.0,
         )
-        direct = Figure10Reducer(**qkw)
-        for block in iter_space_blocks(
-            groups, PARAMS, UNITS, max_block_rows=500
-        ):
-            direct.update(block)
         via_merge = Figure10Reducer(**qkw)
-        merge_block_reductions(
+        reduce_space_blocks(
             (
                 fold_block_reduction(block, queueing=qkw)
                 for block in iter_space_blocks(
@@ -323,10 +397,11 @@ class TestWorkerFoldEqualsCoordinatorFold:
             ),
             consumers=[via_merge],
         )
-        left, right = direct.finish(), via_merge.finish()
-        assert sorted(left) == sorted(right)
-        for u in left:
-            assert left[u] == right[u]
+        batch = figure10_series(evaluate_space_groups(groups, PARAMS, UNITS), **qkw)
+        merged = via_merge.finish()
+        assert sorted(batch) == sorted(merged)
+        for u in batch:
+            assert batch[u] == merged[u]
 
     def test_out_of_order_reductions_are_rejected(self):
         blocks = list(
@@ -335,8 +410,47 @@ class TestWorkerFoldEqualsCoordinatorFold:
         assert len(blocks) >= 2
         reductions = [fold_block_reduction(b) for b in blocks]
         try:
-            merge_block_reductions(reversed(reductions))
+            reduce_space_blocks(reversed(reductions))
         except ValueError as exc:
             assert "plan order" in str(exc)
         else:
             raise AssertionError("out-of-order merge must raise")
+
+
+class TestNanEnergiesRejected:
+    """A NaN energy has no frontier both the batch pass and a block-wise
+    fold agree on, so every frontier builder raises on it."""
+
+    TIMES = np.array([1.0, 2.0, 3.0, 4.0])
+    ENERGIES = np.array([5.0, np.nan, 4.0, 3.0])
+
+    def test_batch_and_fold_would_disagree(self):
+        # The batch pass's running minimum carries the NaN forward; a
+        # fold of [0:2] then [2:4] would keep rows 2 and 3.
+        np.testing.assert_array_equal(
+            pareto_indices(self.TIMES, self.ENERGIES), [0]
+        )
+        np.testing.assert_array_equal(
+            pareto_indices(self.TIMES[2:], self.ENERGIES[2:]), [0, 1]
+        )
+
+    def test_from_points_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ParetoFrontier.from_points(self.TIMES, self.ENERGIES)
+
+    def test_update_raises(self):
+        reducer = FrontierReducer()
+        reducer.update(self.TIMES[:1], self.ENERGIES[:1])
+        with pytest.raises(ValueError, match="NaN"):
+            reducer.update(self.TIMES[1:], self.ENERGIES[1:])
+
+    def test_merge_raises(self):
+        state = FrontierReducer().state_dict()
+        state.update(
+            t=self.TIMES[1:2], e=self.ENERGIES[1:2],
+            idx=np.array([1]), rows_seen=2,
+        )
+        reducer = FrontierReducer()
+        reducer.update(self.TIMES[:1], self.ENERGIES[:1])
+        with pytest.raises(ValueError, match="NaN"):
+            reducer.merge(state)

@@ -60,6 +60,21 @@ class TestEnqueueEndpoint:
         assert body["scenario_name"] == "tiny"
         assert state.queue.depth() == 1
 
+    def test_scenario_from_an_earlier_release_is_accepted(self, service):
+        # Clients holding an earlier release's scenario JSON still send
+        # the retired ``reduce_at`` key; it is dropped before queueing.
+        port, state, _ = service
+        spec = dict(TINY.to_dict(), reduce_at="worker")
+        with pytest.warns(DeprecationWarning, match="reduce_at"):
+            status, body, _ = _request(
+                port, "/v1/runs", "POST", {"scenario": spec}
+            )
+        assert status == 202
+        assert body["created"] is True
+        queued = json.loads(state.queue.get(body["id"])["scenario_json"])
+        assert "reduce_at" not in queued
+        assert Scenario.from_dict(queued) == TINY
+
     def test_idempotency_key_dedupes_to_200(self, service):
         port, _, _ = service
         payload = {"scenario": TINY.to_dict(), "idempotency_key": "once"}

@@ -1,6 +1,7 @@
 """ArtifactStore: persistence, invalidation, and corruption handling."""
 
 import dataclasses
+import json
 import sqlite3
 
 import pytest
@@ -113,6 +114,31 @@ class TestScenarios:
         assert store.resolve_scenario("abc123def") == "abc123def"
         assert store.resolve_scenario("abc1") == "abc123def"
         assert store.resolve_scenario("nope") is None
+
+    def test_row_stored_by_an_earlier_release_still_loads(self, store):
+        # Earlier releases stored every scenario with a ``reduce_at`` key;
+        # the queries that decode the row ignore it with a warning.
+        from repro.engine import RunContext, run_scenario
+        from repro.engine.stagegraph import scenario_identity
+        from repro.store import frontier_points
+
+        scenario = Scenario(workload="ep", max_a=2, max_b=2,
+                            stages=("frontier",), name="old-row")
+        run_scenario(scenario, RunContext(seed=0), store=store)
+        identity = scenario_identity(scenario)
+        old_json = json.dumps(
+            dict(scenario.to_dict(), reduce_at="coordinator"), indent=2,
+            sort_keys=True,
+        )
+        with store._conn:
+            store._conn.execute(
+                "UPDATE scenarios SET spec_json = ? WHERE identity = ?",
+                (old_json, identity),
+            )
+        assert store.scenario_json(identity) == old_json
+        with pytest.warns(DeprecationWarning, match="reduce_at"):
+            body = frontier_points(store, "old-row")
+        assert body["total_points"] >= 1
 
     def test_ambiguous_prefix_does_not_resolve(self, store):
         scenario = Scenario(workload="ep", max_a=2, max_b=2)

@@ -78,6 +78,18 @@ class TestExecution:
         body = frontier_points(store, "tiny")
         assert body["total_points"] >= 1
 
+    def test_job_queued_by_an_earlier_release_runs(self, store, queue):
+        # Its scenario JSON still carries the retired ``reduce_at`` key.
+        old_json = json.dumps(dict(TINY.to_dict(), reduce_at="coordinator"))
+        job, _ = queue.enqueue(old_json, scenario_name=TINY.name)
+        with pytest.warns(DeprecationWarning, match="reduce_at"):
+            Supervisor(store, worker_id="w").run_until_idle()
+        finished = queue.get(job["id"])
+        assert finished["state"] == "done", finished["error"]
+        assert finished["result"]["scenario_identity"] == scenario_identity(
+            TINY
+        )
+
     def test_cancelled_job_is_not_executed(self, store, queue):
         job, _ = queue.enqueue(TINY.to_json())
         queue.cancel(job["id"])

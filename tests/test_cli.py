@@ -53,6 +53,15 @@ class TestCsvExport:
         header = target.read_text().splitlines()[0]
         assert header == "time_ms,energy_j,n_arm,n_amd"
 
+    def test_table5_csv_is_written_and_deterministic(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["table5", "--csv", str(first)]) == 0
+        assert main(["table5", "--csv", str(second)]) == 0
+        lines = first.read_text().splitlines()
+        assert lines[0] == "Program,PPR unit,AMD node,ARM node,winner"
+        assert any(line.startswith("rsa-2048,") for line in lines)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_fig6_csv(self, tmp_path, capsys):
         target = tmp_path / "fig6.csv"
         assert main(["fig6", "--csv", str(target)]) == 0
