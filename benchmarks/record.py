@@ -8,13 +8,12 @@ Timings are best-of-``repeats`` to shrug off machine noise.
 
 ``--pr 2`` (the measurement-layer vectorization) times:
 
-* **Table 3 validation** -- the full single-node validation campaign
-  (six workloads x two node types) at ``repetitions=10``, batched
-  :meth:`NodeSimulator.run_batch` vs one scalar ``run`` per repetition;
 * **Fig. 10 queueing** -- the M/D/1 window-response sample path at
-  50k jobs, vectorized Lindley recursion vs the event-loop reference;
-* **calibration** -- one trace-driven ``calibrate_node`` campaign,
-  batched counter grid vs the scalar loop.
+  50k jobs, vectorized Lindley recursion vs the event-loop reference.
+
+The batched campaigns it also timed (Table 3 validation, calibration)
+are now the only measurement path; perfbench's
+``calibration.ms_per_scenario`` on ``paper_sweep`` tracks them.
 
 ``--pr 3`` (the N-group cluster-table refactor) times:
 
@@ -102,28 +101,6 @@ def _pair(label: str, reference_s: float, fast_s: float, detail: str) -> Dict:
     }
 
 
-def bench_table3_validation(repeats: int) -> Dict:
-    """The Table 3 campaign at repetitions=10, batched vs scalar."""
-    from repro.reporting.figures import build_table3
-
-    def run(batched: bool):
-        _, results = build_table3(seed=0, repetitions=10, batched=batched)
-        return results
-
-    # Results must agree bit-for-bit before timing means anything.
-    for ref, new in zip(run(False), run(True)):
-        assert ref.time_errors == new.time_errors
-        assert ref.energy_errors == new.energy_errors
-    reference = _best_of(lambda: run(False), repeats)
-    batched = _best_of(lambda: run(True), repeats)
-    return _pair(
-        "Table 3 single-node validation (6 workloads x 2 nodes, reps=10)",
-        reference,
-        batched,
-        "validate_single_node batched=True vs batched=False",
-    )
-
-
 def bench_fig10_queueing(repeats: int, n_jobs: int = 50_000) -> Dict:
     """The M/D/1 sample path behind Fig. 10 checks: Lindley vs event loop."""
     from repro.queueing.simulation import (
@@ -153,26 +130,6 @@ def bench_fig10_queueing(repeats: int, n_jobs: int = 50_000) -> Dict:
         reference,
         lindley,
         "simulate_queue_lindley vs simulate_queue (same sample path)",
-    )
-
-
-def bench_calibration(repeats: int) -> Dict:
-    """One trace-driven calibration campaign, batched vs scalar grid."""
-    from repro.core.calibration import calibrate_node
-    from repro.hardware.catalog import AMD_K10
-    from repro.workloads.suite import MEMCACHED
-
-    def run(batched: bool):
-        return calibrate_node(AMD_K10, MEMCACHED, seed=0, batched=batched)
-
-    assert run(False) == run(True)
-    reference = _best_of(lambda: run(False), repeats)
-    batched = _best_of(lambda: run(True), repeats)
-    return _pair(
-        "calibrate_node (AMD K10 / memcached, full counter grid)",
-        reference,
-        batched,
-        "calibrate_node batched=True vs batched=False",
     )
 
 
@@ -679,9 +636,7 @@ _PR_RECORDS = {
         "pr": "vectorized measurement layer",
         "default_output": "BENCH_PR2.json",
         "benches": {
-            "table3_validation": bench_table3_validation,
             "fig10_queueing": bench_fig10_queueing,
-            "calibration": bench_calibration,
         },
     },
     3: {

@@ -331,27 +331,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "default 256)",
     )
     parser.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="pin the per-block row budget, overriding the adaptive "
-        "chunk planner (an execution knob; artifacts are identical at "
-        "any block size)",
-    )
-    parser.add_argument(
         "--spill-dir",
         type=Path,
         default=None,
         help="with --space-mode streaming, also spill the full space to "
         "memory-mapped .npy columns in this directory (scenario only)",
-    )
-    parser.add_argument(
-        "--simulation",
-        choices=["batched", "reference"],
-        default=None,
-        help="measurement-layer implementation: 'batched' (vectorized "
-        "NumPy runs, the default) or 'reference' (scalar per-run loop); "
-        "the two are bit-identical, so this is a performance knob",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -482,7 +466,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
-    batched = args.simulation != "reference"
     space_mode = args.space_mode or "materialized"
 
     backend = args.backend
@@ -561,10 +544,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.artifact == "table1":
         print(build_table1().render(), file=out)
     elif args.artifact == "table3":
-        table, _ = build_table3(seed=args.seed, batched=batched)
+        table, _ = build_table3(seed=args.seed)
         print(table.render(), file=out)
     elif args.artifact == "table4":
-        table, _ = build_table4(seed=args.seed, batched=batched)
+        table, _ = build_table4(seed=args.seed)
         print(table.render(), file=out)
     elif args.artifact == "table5":
         table, rows = build_table5(seed=args.seed)
@@ -583,7 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote {args.csv}", file=out)
         return 0
     elif args.artifact == "fig3":
-        series = build_fig3(seed=args.seed, batched=batched)
+        series = build_fig3(seed=args.seed)
         table = Table(
             ["panel", "r^2", "slope", "intercept"],
             title="Fig 3: SPI_mem linear regression over frequency",
@@ -741,14 +724,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("scenario requires --file <scenario.json>", file=sys.stderr)
             return 2
         scenario = Scenario.from_file(args.file)
-        if args.simulation is not None:
-            scenario = scenario.with_(simulation=args.simulation)
         if args.space_mode is not None:
             scenario = scenario.with_(space_mode=args.space_mode)
         if args.memory_budget_mb is not None:
             scenario = scenario.with_(memory_budget_mb=args.memory_budget_mb)
-        if args.chunk_rows is not None:
-            scenario = scenario.with_(chunk_rows=args.chunk_rows)
         if args.search is not None or args.search_budget is not None:
             # CLI flags override the scenario file's search block; an
             # explicit --search replaces it, a lone --search-budget

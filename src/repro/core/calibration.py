@@ -43,7 +43,6 @@ def calibrate_node(
     seed: SeedLike = 0,
     baseline_units: float = 5_000.0,
     repetitions: int = 3,
-    batched: bool = True,
 ) -> NodeModelParams:
     """Measure all model inputs for ``(node, workload)`` off the testbed.
 
@@ -60,13 +59,10 @@ def calibrate_node(
     baseline_units:
         Work units per baseline run -- the size of the ``Ps`` batch.
     repetitions:
-        Counter runs averaged per (cores, frequency) setting.
-    batched:
-        Run the whole counter campaign through
-        :meth:`NodeSimulator.run_batch` (one NumPy pass) instead of one
-        scalar ``run`` per repetition.  Both paths draw from the same
-        seed tree and produce bit-identical parameters; the scalar path
-        is kept as the readable reference.
+        Counter runs averaged per (cores, frequency) setting.  The whole
+        counter campaign runs through :meth:`NodeSimulator.run_batch`
+        (one NumPy pass); row ``i`` draws from
+        ``RngStream(seed).child("baseline", i)``.
 
     Returns
     -------
@@ -85,36 +81,20 @@ def calibrate_node(
     pstates = node.cores.pstates_ghz
 
     # ---- counter measurements over the (cores, frequency) grid ---------
-    # Grid order is setting-major, repetition-minor; the batched path
-    # must enumerate rows in exactly this order so run_index-derived
-    # child streams stay aligned with the scalar reference.
+    # Grid order is setting-major, repetition-minor: the row index picks
+    # each run's child stream, so this order is part of the output.
     grid = [
         (cores, f)
         for cores in range(1, node.cores.count + 1)
         for f in pstates
     ]
-    counters: Dict[tuple, CounterSet] = {}
-    if batched:
-        rows = repeat_settings(grid, repetitions)
-        seeds = [stream.child("baseline", i) for i in range(len(rows))]
-        batch = sim.run_batch(workload, baseline_units, rows, seeds)
-        for s_index, setting in enumerate(grid):
-            base = s_index * repetitions
-            merged = batch.counters(base)
-            for rep in range(1, repetitions):
-                merged = merged + batch.counters(base + rep)
-            counters[setting] = merged
-    else:
-        run_index = 0
-        for setting in grid:
-            cores, f = setting
-            merged: Optional[CounterSet] = None
-            for _ in range(repetitions):
-                rng = stream.child("baseline", run_index).rng
-                run_index += 1
-                result = sim.run(workload, baseline_units, cores, f, seed=rng)
-                merged = result.counters if merged is None else merged + result.counters
-            counters[setting] = merged
+    rows = repeat_settings(grid, repetitions)
+    seeds = [stream.child("baseline", i) for i in range(len(rows))]
+    batch = sim.run_batch(workload, baseline_units, rows, seeds)
+    counters: Dict[tuple, CounterSet] = {
+        setting: batch.merged_counters(s_index * repetitions, repetitions)
+        for s_index, setting in enumerate(grid)
+    }
 
     # IPs: instructions per unit, averaged over the whole grid.
     ips_samples = [
@@ -149,9 +129,8 @@ def calibrate_node(
 
     # ---- power characterization -----------------------------------------
     meter = PowerMeter(node, noise=noise, seed=stream.child("meter").rng)
-    if batched:
-        # Active + stall sweeps, three idle reads, io-active + idle.
-        meter.prefetch_readings(2 * len(pstates) * node.cores.count + 3 + 2)
+    # Active + stall sweeps, three idle reads, io-active + idle.
+    meter.prefetch_readings(2 * len(pstates) * node.cores.count + 3 + 2)
     p_act = {f: meter.characterize_core_active(f) for f in pstates}
     p_stall = {f: meter.characterize_core_stall(f) for f in pstates}
     p_idle = meter.characterize_idle()
@@ -241,7 +220,6 @@ def params_for(
     calibrated: bool = False,
     noise: NoiseModel = CALIBRATED_NOISE,
     seed: SeedLike = 0,
-    batched: bool = True,
 ) -> Dict[str, NodeModelParams]:
     """Model inputs for several node types at once, keyed by node name."""
     result: Dict[str, NodeModelParams] = {}
@@ -252,7 +230,6 @@ def params_for(
                 workload,
                 noise=noise,
                 seed=RngStream(seed).child(node.name, index).rng,
-                batched=batched,
             )
         else:
             result[node.name] = ground_truth_params(node, workload)

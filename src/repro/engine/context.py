@@ -239,7 +239,6 @@ class RunContext:
         index: int = 0,
         baseline_units: float = 5_000.0,
         repetitions: int = 3,
-        batched: bool = True,
     ) -> NodeModelParams:
         """Model inputs for one (node, workload) pair, memoized.
 
@@ -248,10 +247,6 @@ class RunContext:
         from ``RngStream(seed).child(label, index)`` with
         ``label="params-<node>"`` by default -- the exact derivation the
         reporting layer used pre-engine, so figures are unchanged.
-
-        ``batched`` selects the measurement-layer implementation (see
-        :func:`repro.core.calibration.calibrate_node`); both paths are
-        bit-identical, so it deliberately stays out of the cache key.
         """
         if not calibrated:
             key = ("ground-truth", node, workload)
@@ -270,7 +265,6 @@ class RunContext:
                 seed=rng,
                 baseline_units=baseline_units,
                 repetitions=repetitions,
-                batched=batched,
             )
 
         if not isinstance(seed, int):
@@ -289,13 +283,12 @@ class RunContext:
         calibrated: bool = False,
         noise: NoiseModel = CALIBRATED_NOISE,
         seed: Optional[SeedLike] = None,
-        batched: bool = True,
     ) -> Dict[str, NodeModelParams]:
         """Model inputs for several node types, keyed by node name."""
         return {
             node.name: self.params(
                 node, workload, calibrated=calibrated, noise=noise,
-                seed=seed, index=index, batched=batched,
+                seed=seed, index=index,
             )
             for index, node in enumerate(nodes)
         }
@@ -307,7 +300,6 @@ class RunContext:
         units: float,
         backend: Optional[Any] = None,
         backend_options: Optional[Mapping[str, Any]] = None,
-        chunk_rows: Optional[int] = None,
     ) -> ConfigSpaceResult:
         """Evaluate a k-group configuration space, memoized, chunk-parallel.
 
@@ -316,9 +308,8 @@ class RunContext:
         every model parameter, so two identical requests anywhere in the
         process evaluate once -- whether they arrive through this method
         or through the two-type :meth:`space` sugar.  ``backend``
-        overrides the context's execution backend for this call;
-        ``chunk_rows`` pins the block row budget.  The cache key is
-        independent of both (the bytes are identical).
+        overrides the context's execution backend for this call; the
+        cache key is independent of it (the bytes are identical).
         """
         group_specs = tuple(
             gs if isinstance(gs, GroupSpec) else GroupSpec(*gs)
@@ -333,7 +324,6 @@ class RunContext:
                 group_specs, params, units, max_workers=self.max_workers,
                 policy=self.resilience, injector=self.faults, emit=self.emit,
                 backend=backend, backend_options=backend_options,
-                chunk_rows=chunk_rows,
             )
             self.emit(
                 "space.evaluated",
@@ -372,7 +362,6 @@ class RunContext:
         resume: bool = False,
         backend: Optional[Any] = None,
         backend_options: Optional[Mapping[str, Any]] = None,
-        chunk_rows: Optional[int] = None,
     ) -> ReducedSpace:
         """Stream-reduce a k-group space to its compact artifact, memoized.
 
@@ -385,8 +374,7 @@ class RunContext:
         frontier-sized reducer state, which is merged here in plan order.
         The cache key is the space content plus the queueing knobs; the
         budget is an execution detail and deliberately stays out of it
-        (the reduced artifacts are identical at any budget), as does
-        ``chunk_rows``, which pins the block row budget.
+        (the reduced artifacts are identical at any budget).
         ``consumers`` (e.g. a :class:`~repro.core.streaming.SpaceSpill`)
         need the block columns: passing any ships the columns here and
         folds them through the same pass, and bypasses the cache so the
@@ -432,7 +420,6 @@ class RunContext:
                     memory_budget_mb=budget,
                     backend=backend,
                     backend_options=backend_options,
-                    chunk_rows=chunk_rows,
                 )
                 plan_fp = stable_hash(
                     ("block-plan", tuple((t.counts, t.rows) for t in plan))
@@ -460,7 +447,6 @@ class RunContext:
                     start_block=start_block,
                     backend=backend,
                     backend_options=backend_options,
-                    chunk_rows=chunk_rows,
                     reduce=None if consumers else {"queueing": queue_kw},
                 ),
                 consumers=pass_consumers,

@@ -143,14 +143,12 @@ def _plan_tasks(
     n_chunks: Optional[int],
     memory_budget_mb: Optional[float],
     inflight_blocks: int = 1,
-    chunk_rows: Optional[int] = None,
 ):
     """The deterministic block plan for a chunked/streamed evaluation.
 
-    Precedence: an explicit ``chunk_rows`` pins the per-block row budget
-    exactly (the ``--chunk-rows`` override); an explicit ``n_chunks``
-    pins the partition count per presence-mask block (no row budget);
-    otherwise the plan is *adaptive* -- block rows target
+    An explicit ``n_chunks`` pins the partition count per presence-mask
+    block (no row budget); otherwise the memory budget and the worker
+    count decide an *adaptive* plan -- block rows target
     ``total_rows / (workers * OVERSUBSCRIPTION)`` (floored at
     :data:`MIN_ADAPTIVE_BLOCK_ROWS` so tiny blocks don't drown in
     dispatch overhead), with the memory budget
@@ -160,10 +158,6 @@ def _plan_tasks(
     oversubscription math and take the budget-sized blocks directly --
     bit-for-bit the historical serial plan.
     """
-    if chunk_rows is not None:
-        return plan_block_tasks(
-            group_specs, max(1, int(chunk_rows)), min_chunks=1
-        )
     if n_chunks is not None:
         return plan_block_tasks(
             group_specs, _UNBOUNDED_ROWS, min_chunks=max(1, int(n_chunks))
@@ -190,7 +184,6 @@ def space_block_plan(
     memory_budget_mb: Optional[float] = None,
     backend: Optional[Any] = None,
     backend_options: Optional[Mapping[str, Any]] = None,
-    chunk_rows: Optional[int] = None,
 ):
     """The exact block plan :func:`iter_space_groups_chunked` will stream.
 
@@ -206,7 +199,6 @@ def space_block_plan(
     return _plan_tasks(
         group_specs, workers, n_chunks, memory_budget_mb,
         inflight_blocks=window if workers > 1 else 1,
-        chunk_rows=chunk_rows,
     )
 
 
@@ -222,7 +214,6 @@ def evaluate_space_groups_chunked(
     emit: Optional[Emit] = None,
     backend: Optional[Any] = None,
     backend_options: Optional[Mapping[str, Any]] = None,
-    chunk_rows: Optional[int] = None,
 ) -> ConfigSpaceResult:
     """Evaluate a k-group space in node-count blocks, optionally parallel.
 
@@ -246,20 +237,13 @@ def evaluate_space_groups_chunked(
     workers = _plan_workers(max_workers, be)
     masks = list(presence_masks(group_specs))
     rows = _estimate_rows(group_specs, pos, masks)
-    small = (
-        rows < PARALLEL_THRESHOLD_ROWS
-        and n_chunks is None
-        and chunk_rows is None
-    )
+    small = rows < PARALLEL_THRESHOLD_ROWS and n_chunks is None
     if small or not masks:
         # Degenerate count lists also land here; the reference path
         # raises its own error for them.
         return _evaluate.evaluate_space_groups(group_specs, params, units)
 
-    tasks = _plan_tasks(
-        group_specs, workers, n_chunks, memory_budget_mb,
-        chunk_rows=chunk_rows,
-    )
+    tasks = _plan_tasks(group_specs, workers, n_chunks, memory_budget_mb)
     if len(tasks) < 2:
         return _evaluate.evaluate_space_groups(group_specs, params, units)
 
@@ -284,7 +268,6 @@ def iter_space_groups_chunked(
     start_block: int = 0,
     backend: Optional[Any] = None,
     backend_options: Optional[Mapping[str, Any]] = None,
-    chunk_rows: Optional[int] = None,
     reduce: Optional[Mapping[str, Any]] = None,
 ) -> Iterator[Union[SpaceBlock, BlockReduction]]:
     """Stream a k-group space block by block, backend-evaluated.
@@ -327,7 +310,6 @@ def iter_space_groups_chunked(
     tasks = _plan_tasks(
         group_specs, workers, n_chunks, memory_budget_mb,
         inflight_blocks=window if workers > 1 else 1,
-        chunk_rows=chunk_rows,
     )
     if not tasks:
         # Let the reference path raise its own error message.

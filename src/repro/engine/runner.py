@@ -232,7 +232,6 @@ def run_scenario(
             noise=plan.noise,
             seed=scenario.seed,
             index=index,
-            batched=scenario.simulation == "batched",
         )
 
     def compute_space(node: StageNode, inputs: Dict[str, Any]):
@@ -276,7 +275,6 @@ def run_scenario(
                 consumers=(spill,) if spill is not None else (),
                 checkpoint=checkpoint,
                 resume=resume,
-                chunk_rows=scenario.chunk_rows,
                 **backend_kw,
             )
             if spill is not None:
@@ -291,8 +289,7 @@ def run_scenario(
             )
             return reduced
         space = ctx.space_groups(
-            plan.group_specs, params, plan.units,
-            chunk_rows=scenario.chunk_rows, **backend_kw,
+            plan.group_specs, params, plan.units, **backend_kw
         )
         ctx.emit(
             "space.memory",

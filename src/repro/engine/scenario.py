@@ -39,8 +39,13 @@ _STAGE_IMPLIES = {"regions": ("frontier",), "queueing": ()}
 #: The historical two-type spelling of the group axes.
 _PAIR_FIELDS = ("node_a", "node_b", "max_a", "max_b", "counts_a", "counts_b")
 
-#: Fields earlier releases stored; :meth:`Scenario.from_dict` drops them.
-_RETIRED_FIELDS = ("reduce_at",)
+#: Fields earlier releases stored, each with why :meth:`Scenario.from_dict`
+#: now drops it.
+_RETIRED_FIELDS = {
+    "chunk_rows": "the memory budget alone sizes streaming blocks",
+    "reduce_at": "every streaming block is folded where it is evaluated",
+    "simulation": "the batched measurement campaign is the only one",
+}
 
 #: Admissible ``Scenario.search`` strategies.
 SEARCH_STRATEGIES = ("exhaustive", "random", "ga", "anneal")
@@ -75,15 +80,25 @@ class NodeGroup:
     settings: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 0:
+        if _strict_int(self.max_nodes, "max_nodes") < 0:
             raise ValueError("maximum node counts must be non-negative")
         if self.counts is not None:
-            object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+            object.__setattr__(
+                self,
+                "counts",
+                tuple(_strict_int(c, "each count") for c in self.counts),
+            )
         if self.settings is not None:
             object.__setattr__(
                 self,
                 "settings",
-                tuple((int(c), float(f)) for c, f in self.settings),
+                tuple(
+                    (
+                        _strict_int(c, "each setting's cores"),
+                        _finite_float(f, "each setting's frequency"),
+                    )
+                    for c, f in self.settings
+                ),
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -181,7 +196,9 @@ class Scenario:
     max_a, max_b, counts_a, counts_b:
         Configuration-space bounds, mirroring
         :func:`repro.core.evaluate.evaluate_space`: node counts range over
-        ``0..max`` unless pinned to an explicit ``counts`` list.
+        ``0..max`` unless pinned to an explicit ``counts`` list.  Counts
+        and maxima must be integers (``2.0`` is accepted and kept as
+        given; ``2.5``, booleans and non-finite numbers raise).
     node_types:
         The k-group generalization: an ordered list of
         :class:`NodeGroup` entries (dicts are coerced).  When set it is
@@ -193,7 +210,9 @@ class Scenario:
         ``"analysis"`` problem size (the paper's Section IV default).
     calibrated:
         ``False`` uses catalog ground truth; ``True`` runs the
-        trace-driven calibration campaign against the simulated testbed.
+        trace-driven calibration campaign against the simulated testbed
+        (one batched pass over every (cores, frequency) setting; see
+        :func:`repro.core.calibration.calibrate_node`).
     noise_scale:
         Multiplier on the calibrated noise model (only meaningful with
         ``calibrated=True``; 0 gives noiseless calibration).
@@ -205,29 +224,19 @@ class Scenario:
         added automatically.
     utilizations, window_s:
         Queueing-stage knobs (Fig. 10 semantics).
-    simulation:
-        Measurement-layer implementation for calibration campaigns:
-        ``"batched"`` runs the counter grid through
-        :meth:`~repro.simulator.node.NodeSimulator.run_batch`,
-        ``"reference"`` keeps the scalar per-run loop.  Both draw from
-        the same seed tree and produce bit-identical results, so the
-        choice is excluded from the cache identity.
     space_mode:
         How the configuration space flows through the pipeline:
         ``"materialized"`` holds the full column stacks in RAM (the
         historical behavior), ``"streaming"`` evaluates memory-bounded
         blocks and folds them through incremental reducers
         (:mod:`repro.core.streaming`), caching only the reduced
-        artifacts.  Results are bit-identical, so the mode -- like
-        ``simulation`` -- is excluded from the cache identity.
+        artifacts.  Results are bit-identical, so the mode is excluded
+        from the cache identity.
     memory_budget_mb:
         Peak-memory budget for streaming evaluation, megabytes;
         ``None`` uses :data:`repro.core.streaming.DEFAULT_MEMORY_BUDGET_MB`.
-        An execution knob, excluded from the cache identity.
-    chunk_rows:
-        Explicit row budget per streaming block, overriding the adaptive
-        chunk planner.  An execution knob, excluded from the cache
-        identity.
+        With the worker count it decides the block plan.  An execution
+        knob, excluded from the cache identity.
     backend, backend_options:
         Execution backend for the scenario's fan-outs -- a registered
         name (``"serial"``, ``"process_pool"``, ``"tcp_remote"``) plus
@@ -268,10 +277,8 @@ class Scenario:
     stages: Tuple[str, ...] = ("frontier", "regions")
     utilizations: Tuple[float, ...] = (0.05, 0.25, 0.50)
     window_s: float = 20.0
-    simulation: str = "batched"
     space_mode: str = "materialized"
     memory_budget_mb: Optional[float] = None
-    chunk_rows: Optional[int] = None
     name: Optional[str] = None
     node_types: Optional[Tuple[NodeGroup, ...]] = None
     backend: Optional[str] = None
@@ -300,8 +307,9 @@ class Scenario:
             else:
                 object.__setattr__(self, "max_b", 0)
                 object.__setattr__(self, "counts_b", None)
-        if self.max_a < 0 or self.max_b < 0:
-            raise ValueError("maximum node counts must be non-negative")
+        for pair_max in ("max_a", "max_b"):
+            if _strict_int(getattr(self, pair_max), pair_max) < 0:
+                raise ValueError("maximum node counts must be non-negative")
         if self.node_types is not None:
             if all(g.max_nodes == 0 for g in self.node_types):
                 raise ValueError("a scenario needs at least one node of some type")
@@ -313,11 +321,6 @@ class Scenario:
             raise ValueError("noise scale must be non-negative")
         if _finite_float(self.window_s, "window_s") <= 0:
             raise ValueError("queueing window must be positive")
-        if self.simulation not in ("batched", "reference"):
-            raise ValueError(
-                f"simulation must be 'batched' or 'reference', got "
-                f"{self.simulation!r}"
-            )
         if self.space_mode not in ("materialized", "streaming"):
             raise ValueError(
                 f"space_mode must be 'materialized' or 'streaming', got "
@@ -327,10 +330,6 @@ class Scenario:
             self.memory_budget_mb, "memory_budget_mb"
         ) <= 0:
             raise ValueError("memory budget must be positive")
-        if self.chunk_rows is not None:
-            object.__setattr__(self, "chunk_rows", int(self.chunk_rows))
-            if self.chunk_rows <= 0:
-                raise ValueError("chunk_rows must be positive")
         if self.backend is not None:
             # Registry validation catches unknown names and unknown
             # option keys here, at construction, not mid-run.
@@ -426,15 +425,15 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Inverse of :meth:`to_dict`; unknown keys raise for typo safety.
 
-        ``reduce_at``, which scenarios stored by earlier releases carry,
-        is ignored with a :class:`DeprecationWarning`: every streaming
-        block is now folded where it is evaluated.
+        Retired fields (:data:`_RETIRED_FIELDS`), which scenarios stored
+        by earlier releases carry, are ignored with one
+        :class:`DeprecationWarning` that names each and why.
         """
         retired = sorted(set(data) & set(_RETIRED_FIELDS))
         if retired:
+            reasons = "; ".join(f"{k}: {_RETIRED_FIELDS[k]}" for k in retired)
             warnings.warn(
-                f"ignoring retired scenario fields {retired}: every "
-                "streaming block is now folded where it is evaluated",
+                f"ignoring retired scenario fields ({reasons})",
                 DeprecationWarning,
                 stacklevel=2,
             )
@@ -463,22 +462,20 @@ class Scenario:
     def cache_identity(self) -> Dict[str, Any]:
         """The fields that determine results.
 
-        Drops the cosmetic ``name`` and the implementation choices
-        (``simulation``, ``space_mode``, ``memory_budget_mb``,
-        ``chunk_rows``, ``backend``, ``backend_options``) -- batched and
-        reference runs are bit-identical, streaming produces the same
-        reduced artifacts as materializing, and every execution backend
-        produces the same bytes, so they all share cache entries.  The
+        Drops the cosmetic ``name`` and the execution choices
+        (``space_mode``, ``memory_budget_mb``, ``backend``,
+        ``backend_options``) -- streaming produces the same reduced
+        artifacts as materializing, and every execution backend and
+        block plan produces the same bytes, so they all share cache
+        entries.  The
         node-type axes are canonicalized to the group list, so a
         two-type scenario written with the pair fields and the same one
         written with ``node_types`` share entries too.
         """
         raw = self.to_dict()
         raw.pop("name")
-        raw.pop("simulation")
         raw.pop("space_mode")
         raw.pop("memory_budget_mb")
-        raw.pop("chunk_rows")
         raw.pop("backend")
         raw.pop("backend_options")
         if not self.search_active:

@@ -110,13 +110,8 @@ def build_table3(
     seed: SeedLike = 0,
     repetitions: int = 3,
     units_override: Optional[float] = None,
-    batched: bool = True,
 ) -> Tuple[Table, List]:
-    """Table 3: single-node validation errors for the whole suite.
-
-    ``batched`` selects the measurement-layer implementation (batched
-    NumPy runs vs the scalar reference); the two are bit-identical.
-    """
+    """Table 3: single-node validation errors for the whole suite."""
     table = Table(
         [
             "Domain",
@@ -144,7 +139,6 @@ def build_table3(
                 noise=noise,
                 seed=RngStream(seed).child(f"t3-{workload.name}-{node.name}", w_index).rng,
                 repetitions=repetitions,
-                batched=batched,
             )
             results.append(report)
             key = "amd" if node is AMD_K10 else "arm"
@@ -173,7 +167,6 @@ def build_table4(
     noise: NoiseModel = CALIBRATED_NOISE,
     seed: SeedLike = 0,
     units_override: Optional[float] = None,
-    batched: bool = True,
 ) -> Tuple[Table, List]:
     """Table 4: cluster validation on 8 ARM + {1, 0} AMD."""
     table = Table(
@@ -194,7 +187,6 @@ def build_table4(
                 seed=RngStream(seed).child(
                     f"t4-{workload.name}-{n_amd}", w_index
                 ).rng,
-                batched=batched,
             )
             results.append(report)
             table.add_row(
@@ -276,14 +268,12 @@ def build_fig3(
     seed: SeedLike = 0,
     baseline_units: float = 50.0,
     repetitions: int = 3,
-    batched: bool = True,
 ) -> Dict[str, FigureSeries]:
     """Fig. 3: measured SPI_mem vs core frequency with the linear fit's r^2.
 
     Measured at 1 core and at the node's full core count, like the
-    paper's four panels.  ``batched=True`` runs each panel's frequency
-    sweep through :meth:`NodeSimulator.run_batch` (bit-identical to the
-    scalar reference loop, which ``batched=False`` retains).
+    paper's four panels; each panel's frequency sweep runs through one
+    :meth:`NodeSimulator.run_batch` pass.
     """
     series: Dict[str, FigureSeries] = {}
     stream = RngStream(seed)
@@ -291,39 +281,18 @@ def build_fig3(
         sim = NodeSimulator(node, noise=noise)
         for cores in (1, node.cores.count):
             pstates = node.cores.pstates_ghz
-            xs, ys = [], []
-            if batched:
-                rows = repeat_settings(
-                    [(cores, f) for f in pstates], repetitions
-                )
-                seeds = [
-                    stream.child(f"f3-{node.name}-{cores}-{f_index}", rep)
-                    for f_index in range(len(pstates))
-                    for rep in range(repetitions)
-                ]
-                batch = sim.run_batch(workload, baseline_units, rows, seeds)
-                for f_index, f in enumerate(pstates):
-                    base = f_index * repetitions
-                    merged = batch.counters(base)
-                    for rep in range(1, repetitions):
-                        merged = merged + batch.counters(base + rep)
-                    xs.append(f)
-                    ys.append(merged.spi_mem)
-            else:
-                for f_index, f in enumerate(pstates):
-                    merged = None
-                    for rep in range(repetitions):
-                        rng = stream.child(
-                            f"f3-{node.name}-{cores}-{f_index}", rep
-                        ).rng
-                        result = sim.run(workload, baseline_units, cores, f, seed=rng)
-                        merged = (
-                            result.counters
-                            if merged is None
-                            else merged + result.counters
-                        )
-                    xs.append(f)
-                    ys.append(merged.spi_mem)
+            rows = repeat_settings([(cores, f) for f in pstates], repetitions)
+            seeds = [
+                stream.child(f"f3-{node.name}-{cores}-{f_index}", rep)
+                for f_index in range(len(pstates))
+                for rep in range(repetitions)
+            ]
+            batch = sim.run_batch(workload, baseline_units, rows, seeds)
+            xs = list(pstates)
+            ys = [
+                batch.merged_counters(f_index * repetitions, repetitions).spi_mem
+                for f_index in range(len(pstates))
+            ]
             fit = linear_fit(xs, ys)
             key = f"{node.name}:cores={cores}"
             series[key] = FigureSeries(

@@ -67,6 +67,11 @@ MAX_BODY_BYTES = 1 << 20
 READY_HEARTBEAT_S = 30.0
 
 
+def _reject_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN``/``Infinity`` literals are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 class _BadRequest(ValueError):
     """A malformed query parameter or request body (HTTP 400)."""
 
@@ -317,7 +322,7 @@ class StoreQueryHandler(BaseHTTPRequestHandler):
         if not raw:
             raise _BadRequest("request body required")
         try:
-            body = json.loads(raw)
+            body = json.loads(raw, parse_constant=_reject_constant)
         except ValueError as exc:
             raise _BadRequest(f"request body is not valid JSON: {exc}")
         if not isinstance(body, dict):

@@ -118,6 +118,14 @@ class BatchRunResult:
             f_ghz=float(self.f_ghz[i]),
         )
 
+    def merged_counters(self, start: int, count: int) -> CounterSet:
+        """Counters of rows ``start .. start + count - 1``, summed in row
+        order -- one setting's repetitions under :func:`repeat_settings`."""
+        merged = self.counters(start)
+        for i in range(start + 1, start + count):
+            merged = merged + self.counters(i)
+        return merged
+
     def row(self, i: int):
         """Row ``i`` as a scalar :class:`NodeRunResult` (compat view)."""
         from repro.simulator.node import NodeRunResult
@@ -354,10 +362,9 @@ def repeat_settings(
 ) -> List[Tuple[int, float]]:
     """Row list for ``repetitions`` consecutive runs per setting.
 
-    The order matches the measurement loops' historical iteration
-    (setting-major, repetition-minor), which is what keeps sequential
-    ``RngStream.child(label, run_index)`` seeds aligned between the
-    scalar and batched paths.
+    The order is setting-major, repetition-minor: campaigns seed row
+    ``i`` from ``RngStream.child(label, i)``, so the order is part of
+    their output.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")

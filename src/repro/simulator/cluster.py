@@ -92,16 +92,14 @@ class ClusterSimulator:
         workload: WorkloadSpec,
         assignments: Sequence[GroupAssignment],
         seed: SeedLike = 0,
-        batched: bool = True,
     ) -> JobResult:
         """Execute one job and return cluster-level observables.
 
         Every node gets an independent noise stream derived from ``seed``,
         so two nodes of the same type do not finish at exactly the same
         instant -- the residual imbalance a real cluster would show.
-        ``batched`` runs each group's nodes through one
-        :meth:`NodeSimulator.run_batch` pass (same seed tree, bit-identical
-        observables); the scalar loop is the readable reference.
+        Each group's nodes run through one :meth:`NodeSimulator.run_batch`
+        pass.
         """
         active = [a for a in assignments if a.n_nodes > 0]
         if not active:
@@ -121,39 +119,24 @@ class ClusterSimulator:
             )
             arrival_floor = self._arrival_floor(workload, assignment)
             units_per_node = assignment.units / assignment.n_nodes
+            settings = [(assignment.cores, assignment.f_ghz)] * assignment.n_nodes
+            seeds = [
+                stream.child(f"g{g_index}-node", i)
+                for i in range(assignment.n_nodes)
+            ]
+            batch = sim.run_batch(
+                workload,
+                units_per_node,
+                settings,
+                seeds,
+                arrival_floor_s=arrival_floor,
+            )
             times: List[float] = []
             energy = 0.0
-            if batched:
-                settings = [(assignment.cores, assignment.f_ghz)] * assignment.n_nodes
-                seeds = [
-                    stream.child(f"g{g_index}-node", i)
-                    for i in range(assignment.n_nodes)
-                ]
-                batch = sim.run_batch(
-                    workload,
-                    units_per_node,
-                    settings,
-                    seeds,
-                    arrival_floor_s=arrival_floor,
-                )
-                for i in range(assignment.n_nodes):
-                    per_node[(g_index, i)] = batch.row(i)
-                    times.append(float(batch.time_s[i]))
-                    energy += float(batch.energy_j[i])
-            else:
-                for i in range(assignment.n_nodes):
-                    node_rng = stream.child(f"g{g_index}-node", i).rng
-                    result = sim.run(
-                        workload,
-                        units_per_node,
-                        assignment.cores,
-                        assignment.f_ghz,
-                        seed=node_rng,
-                        arrival_floor_s=arrival_floor,
-                    )
-                    per_node[(g_index, i)] = result
-                    times.append(result.time_s)
-                    energy += result.energy_j
+            for i in range(assignment.n_nodes):
+                per_node[(g_index, i)] = batch.row(i)
+                times.append(float(batch.time_s[i]))
+                energy += float(batch.energy_j[i])
             group_raw_times.append(times)
             group_raw_energies.append(energy)
 

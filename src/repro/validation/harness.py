@@ -65,16 +65,14 @@ def validate_single_node(
     seed: SeedLike = 0,
     repetitions: int = 3,
     params: Optional[NodeModelParams] = None,
-    batched: bool = True,
 ) -> SingleNodeValidation:
     """Validate time/energy predictions on one node across all settings.
 
     ``units`` defaults to the workload's Table 3 problem size when one is
     declared, else its default job size.  ``repetitions`` independent
     measured runs per setting feed the error statistics (the paper's
-    mean +/- std per cell).  ``batched`` routes both the calibration and
-    the measurement campaign through :meth:`NodeSimulator.run_batch`;
-    records are bit-identical either way (same seed tree).
+    mean +/- std per cell).  The measurement campaign runs through one
+    :meth:`NodeSimulator.run_batch` pass.
     """
     if units is None:
         units = workload.problem_sizes.get("table3", workload.default_job_units)
@@ -85,7 +83,6 @@ def validate_single_node(
             workload,
             noise=noise,
             seed=stream.child("calibration").rng,
-            batched=batched,
         )
 
     sim = NodeSimulator(node, noise=noise)
@@ -114,23 +111,13 @@ def validate_single_node(
             measured_energy_j=measured_energy_j,
         )
 
-    records: List[ValidationRecord] = []
-    if batched:
-        rows = repeat_settings(grid, repetitions)
-        seeds = [stream.child("measure", i) for i in range(len(rows))]
-        batch = sim.run_batch(workload, units, rows, seeds)
-        for i, (cores, f) in enumerate(rows):
-            records.append(
-                record(cores, f, float(batch.time_s[i]), float(batch.energy_j[i]))
-            )
-    else:
-        run_index = 0
-        for cores, f in grid:
-            for _ in range(repetitions):
-                rng = stream.child("measure", run_index).rng
-                run_index += 1
-                measured = sim.run(workload, units, cores, f, seed=rng)
-                records.append(record(cores, f, measured.time_s, measured.energy_j))
+    rows = repeat_settings(grid, repetitions)
+    seeds = [stream.child("measure", i) for i in range(len(rows))]
+    batch = sim.run_batch(workload, units, rows, seeds)
+    records: List[ValidationRecord] = [
+        record(cores, f, float(batch.time_s[i]), float(batch.energy_j[i]))
+        for i, (cores, f) in enumerate(rows)
+    ]
     time_summary, energy_summary = aggregate_records(records)
     return SingleNodeValidation(
         workload=workload.name,
@@ -152,7 +139,6 @@ def validate_cluster(
     noise: NoiseModel = CALIBRATED_NOISE,
     seed: SeedLike = 0,
     params: Optional[Dict[str, NodeModelParams]] = None,
-    batched: bool = True,
 ) -> ClusterValidation:
     """Validate one cluster composition (Table 4 uses 8 ARM + {0,1} AMD).
 
@@ -174,7 +160,6 @@ def validate_cluster(
                 workload,
                 noise=noise,
                 seed=stream.child(f"cal-{label}").rng,
-                batched=batched,
             )
 
     cores_a, f_a = node_a.cores.count, node_a.cores.fmax_ghz
@@ -204,9 +189,7 @@ def validate_cluster(
             GroupAssignment(node_b, n_b, cores_b, f_b, match.units_b)
         )
     cluster = ClusterSimulator(noise=noise)
-    measured = cluster.run_job(
-        workload, assignments, seed=stream.child("job").rng, batched=batched
-    )
+    measured = cluster.run_job(workload, assignments, seed=stream.child("job").rng)
 
     record = ValidationRecord(
         workload=workload.name,

@@ -42,10 +42,10 @@ class SweepPoint:
 
 
 def _sweep_point(
-    args: Tuple[NodeSpec, WorkloadSpec, float, float, NoiseModel, SeedLike, int, bool],
+    args: Tuple[NodeSpec, WorkloadSpec, float, float, NoiseModel, SeedLike, int],
 ) -> SweepPoint:
     """Evaluate one sweep sample (top-level so process pools can pickle it)."""
-    node, workload, x, units, noise, seed, repetitions, batched = args
+    node, workload, x, units, noise, seed, repetitions = args
     report = validate_single_node(
         node,
         workload,
@@ -53,7 +53,6 @@ def _sweep_point(
         noise=noise,
         seed=seed,
         repetitions=repetitions,
-        batched=batched,
     )
     return SweepPoint(
         x=float(x),
@@ -71,16 +70,12 @@ def noise_sweep(
     repetitions: int = 2,
     base: NoiseModel = CALIBRATED_NOISE,
     map_fn: Optional[MapFn] = None,
-    batched: bool = True,
 ) -> List[SweepPoint]:
     """Mean validation error at each overall noise scale."""
     if not scales:
         raise ValueError("need at least one scale")
     tasks = [
-        (
-            node, workload, float(scale), units,
-            base.scaled(scale), seed, repetitions, batched,
-        )
+        (node, workload, float(scale), units, base.scaled(scale), seed, repetitions)
         for scale in scales
     ]
     return list((map_fn or map)(_sweep_point, tasks))
@@ -94,13 +89,12 @@ def problem_size_sweep(
     repetitions: int = 2,
     noise: NoiseModel = CALIBRATED_NOISE,
     map_fn: Optional[MapFn] = None,
-    batched: bool = True,
 ) -> List[SweepPoint]:
     """Mean validation error at each problem size."""
     if not sizes:
         raise ValueError("need at least one size")
     tasks = [
-        (node, workload, float(size), float(size), noise, seed, repetitions, batched)
+        (node, workload, float(size), float(size), noise, seed, repetitions)
         for size in sizes
     ]
     return list((map_fn or map)(_sweep_point, tasks))

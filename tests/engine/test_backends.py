@@ -455,13 +455,17 @@ class TestWorkerReduceConformance:
         result = run_scenario(scenario, RunContext(max_workers=2))
         _assert_matches_oracle(batch_oracle, result)
 
-    def test_chunk_rows_override_stays_bit_identical(self, batch_oracle):
-        scenario = streaming_scenario(chunk_rows=777)
+    def test_small_memory_budget_stays_bit_identical(self, batch_oracle):
+        scenario = streaming_scenario(memory_budget_mb=0.02)
         result = run_scenario(scenario, RunContext(max_workers=2))
+        assert result.reduced.num_blocks > 1
         _assert_matches_oracle(batch_oracle, result)
 
     def test_cache_identity_ignores_reduce_at_and_chunk_rows(self):
-        stored = dict(streaming_scenario().to_dict(), reduce_at="worker")
+        stored = dict(
+            streaming_scenario().to_dict(),
+            reduce_at="worker", chunk_rows=1000, simulation="reference",
+        )
         with pytest.warns(DeprecationWarning, match="reduce_at"):
             retired = Scenario.from_dict(stored)
         identities = {
@@ -469,8 +473,8 @@ class TestWorkerReduceConformance:
             for scenario in [
                 streaming_scenario(),
                 retired,
-                streaming_scenario(chunk_rows=1000),
-                retired.with_(chunk_rows=5000),
+                streaming_scenario(memory_budget_mb=0.02),
+                retired.with_(memory_budget_mb=64.0),
             ]
         }
         assert len(identities) == 1

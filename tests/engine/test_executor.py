@@ -127,23 +127,22 @@ class TestAdaptiveBlockPlan:
             (t.counts, t.rows) for t in capped
         ]
 
-    def test_chunk_rows_pins_the_block_size(self):
-        from repro.core.streaming import plan_block_tasks
-
+    def test_small_budget_splits_the_plan(self):
+        # The memory budget alone sizes the blocks: a small one splits
+        # the space into many blocks.
         plan = space_block_plan(
-            self.GROUPS, max_workers=4, chunk_rows=500, backend="serial"
+            self.GROUPS, max_workers=4, memory_budget_mb=0.05,
+            backend="serial",
         )
-        assert [(t.counts, t.rows) for t in plan] == [
-            (t.counts, t.rows)
-            for t in plan_block_tasks(self.GROUPS, 500, min_chunks=1)
-        ]
+        assert len(plan) > 1
         assert sum(t.rows for t in plan) == count_space_rows(self.GROUPS)
-        # chunk_rows wins over n_chunks and the budget alike.
-        pinned = space_block_plan(
-            self.GROUPS, max_workers=4, n_chunks=2, chunk_rows=500,
-            memory_budget_mb=64.0, backend="serial",
+        # A larger budget gives fewer, larger blocks over the same rows.
+        roomy = space_block_plan(
+            self.GROUPS, max_workers=4, memory_budget_mb=64.0,
+            backend="serial",
         )
-        assert [t.rows for t in pinned] == [t.rows for t in plan]
+        assert len(roomy) < len(plan)
+        assert sum(t.rows for t in roomy) == count_space_rows(self.GROUPS)
 
 
 class TestParallelMap:

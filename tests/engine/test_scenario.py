@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from repro.engine.hashing import stable_hash
-from repro.engine.scenario import STAGES, Scenario
+from repro.engine.scenario import STAGES, NodeGroup, Scenario
 from repro.engine.stagegraph import scenario_identity
 
-#: A scenario file as an earlier release wrote it (with ``reduce_at``).
+#: A scenario file as an earlier release wrote it (with ``reduce_at``,
+#: ``simulation`` and ``chunk_rows``).
 PARENT_SCENARIO = Path(__file__).parent / "data" / "parent_scenario.json"
 
 
@@ -56,6 +57,67 @@ class TestValidation:
             Scenario(workload="ep", **changes)
         with pytest.raises(ValueError, match="must be a finite number"):
             Scenario.from_dict(dict(workload="ep", **changes))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"max_a": float("nan")},
+            {"max_a": 1e999},
+            {"max_a": True},
+            {"max_a": 2.5},
+            {"max_b": "3"},
+            {"counts_a": (1.7,)},
+            {"counts_b": (1, float("nan"))},
+            {"node_types": [{"node": "arm-cortex-a9", "max_nodes": float("nan")}]},
+            {"node_types": [{"node": "arm-cortex-a9", "max_nodes": 1e999}]},
+            {"node_types": [{"node": "arm-cortex-a9", "max_nodes": True}]},
+            {"node_types": [{"node": "arm-cortex-a9", "max_nodes": 2.5}]},
+            {"node_types": [{"node": "arm-cortex-a9", "counts": [1.7]}]},
+            {"node_types": [{"node": "arm-cortex-a9", "counts": [False]}]},
+            {"node_types": [{"node": "arm-cortex-a9", "settings": [[2.5, 1.0]]}]},
+        ],
+    )
+    def test_non_integral_node_counts_rejected(self, changes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Scenario(workload="ep", **changes)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Scenario.from_dict(dict(workload="ep", **changes))
+
+    @pytest.mark.parametrize("f", [float("nan"), float("inf"), True, "1.4"])
+    def test_non_finite_setting_frequency_rejected(self, f):
+        group = {"node": "arm-cortex-a9", "settings": [[2, f]]}
+        with pytest.raises(ValueError, match="must be a finite number"):
+            NodeGroup(**group)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            Scenario.from_dict({"workload": "ep", "node_types": [group]})
+
+    def test_node_group_constructor_rejects_bad_counts(self):
+        with pytest.raises(ValueError, match="max_nodes must be an integer"):
+            NodeGroup("arm-cortex-a9", max_nodes=float("nan"))
+        with pytest.raises(ValueError, match="each count must be an integer"):
+            NodeGroup("arm-cortex-a9", counts=[1.7])
+        with pytest.raises(ValueError, match="cores must be an integer"):
+            NodeGroup("arm-cortex-a9", settings=[[True, 1.0]])
+
+    def test_integral_counts_keep_their_identity(self):
+        # Guards validate without rewriting: integral floats (as a JSON
+        # file may spell them) keep the identities an earlier release
+        # computed for the same inputs.
+        pair = Scenario(workload="ep", max_a=3.0, max_b=4)
+        assert pair.max_a == 3.0 and isinstance(pair.max_a, float)
+        assert stable_hash(pair.cache_identity()) == (
+            "13456bfcc865b67a23d99de5cd030e96a74489bc3593dcb3ba940ba123d56400"
+        )
+        groups = Scenario(workload="ep", node_types=[
+            {"node": "arm-cortex-a9", "max_nodes": 3.0, "counts": [1.0, 2],
+             "settings": [[2.0, 1]]},
+            {"node": "amd-k10", "max_nodes": 2},
+        ])
+        assert groups.node_types[0].counts == (1, 2)
+        assert groups.node_types[0].settings == ((2, 1.0),)
+        assert stable_hash(groups.cache_identity()) == (
+            "82dea1ed909bcca6338d9287d806c5d31ed7f37c3469316b8b7c02746e44756d"
+        )
 
     def test_finite_floats_keep_their_type(self):
         # Validation must not coerce: an int and a float hash differently,
@@ -123,13 +185,22 @@ class TestSerialization:
 
     def test_retired_reduce_at_key_ignored(self):
         # A scenario file an earlier release wrote: it carries the
-        # retired ``reduce_at`` field, set to a value that release
-        # accepted only for streaming runs.
+        # retired ``reduce_at``, ``simulation`` and ``chunk_rows``
+        # fields, ``reduce_at`` set to a value that release accepted
+        # only for streaming runs.
         with pytest.warns(DeprecationWarning, match="reduce_at") as caught:
             s = Scenario.from_file(PARENT_SCENARIO)
-        assert sum(w.category is DeprecationWarning for w in caught) == 1
+        (warning,) = [w for w in caught if w.category is DeprecationWarning]
+        message = str(warning.message)
+        for key, reason in (
+            ("chunk_rows", "the memory budget alone sizes streaming blocks"),
+            ("reduce_at", "folded where it is evaluated"),
+            ("simulation", "the batched measurement campaign is the only one"),
+        ):
+            assert f"{key}: " in message and reason in message
         assert s.space_mode == "streaming"
-        assert "reduce_at" not in s.to_dict()
+        for key in ("reduce_at", "simulation", "chunk_rows"):
+            assert key not in s.to_dict()
         # The identities that release computed for the same file.
         assert stable_hash(s.cache_identity()) == (
             "92f72000427299662d3d608d7166e5889b649127a3e7bd2474b32da4f916aea4"

@@ -189,8 +189,8 @@ class TestValidation:
         ],
     )
     def test_non_finite_scenario_float_is_400(self, service, field, raw_value):
-        # Python's JSON parser reads NaN and Infinity; a <= 0 guard alone
-        # would let NaN through to the queue.
+        # Python's JSON parser reads NaN and Infinity unless told not to;
+        # the body parser rejects the literals before any scenario guard.
         port, state, _ = service
         raw = (
             '{"scenario": {"workload": "ep", "' + field + '": '
@@ -198,7 +198,48 @@ class TestValidation:
         ).encode()
         status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
         assert status == 400
-        assert "must be a finite number" in body["error"]
+        assert "not valid JSON" in body["error"]
+        assert "is not a JSON number" in body["error"]
+        assert state.queue.depth() == 0
+
+    @pytest.mark.parametrize(
+        "raw_value", ["NaN", "Infinity", "-Infinity", "[1, NaN]"]
+    )
+    def test_non_finite_literals_anywhere_are_400(self, service, raw_value):
+        port, state, _ = service
+        raw = (
+            '{"scenario": {"workload": "ep"}, "extra": ' + raw_value + "}"
+        ).encode()
+        status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
+        assert status == 400
+        assert "is not a JSON number" in body["error"]
+        assert state.queue.depth() == 0
+
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ('"max_a": 2.5', "max_a must be an integer"),
+            ('"max_a": true', "max_a must be an integer"),
+            ('"max_b": 1e999', "max_b must be an integer"),
+            ('"counts_a": [1.7]', "each count must be an integer"),
+            ('"node_types": [{"node": "arm-cortex-a9", "max_nodes": 1e999}]',
+             "max_nodes must be an integer"),
+            ('"node_types": [{"node": "arm-cortex-a9", "counts": [true]}]',
+             "each count must be an integer"),
+            ('"node_types": [{"node": "arm-cortex-a9", '
+             '"settings": [[2.5, 1.0]]}]', "cores must be an integer"),
+            ('"node_types": [{"node": "arm-cortex-a9", '
+             '"settings": [[2, 1e999]]}]', "frequency must be a finite number"),
+        ],
+    )
+    def test_non_integral_node_counts_are_400(self, service, fields, fragment):
+        # Each was accepted and queued as a job bound to fail later.
+        port, state, _ = service
+        raw = ('{"scenario": {"workload": "ep", ' + fields + "}}").encode()
+        status, body, _ = _request(port, "/v1/runs", "POST", raw=raw)
+        assert status == 400
+        assert "invalid scenario" in body["error"]
+        assert fragment in body["error"]
         assert state.queue.depth() == 0
 
     def test_unparseable_json_is_400(self, service):

@@ -6,6 +6,7 @@ drain, and lease-reclaim paths without burning evaluator time.
 """
 
 import json
+import shutil
 import sqlite3
 import threading
 import time
@@ -14,14 +15,39 @@ from pathlib import Path
 import pytest
 
 from repro.engine import RunContext, Scenario, run_scenario
+from repro.engine.executor import space_block_plan
 from repro.engine.faults import WorkerCrash
-from repro.engine.stagegraph import scenario_identity
+from repro.engine.hashing import stable_hash
+from repro.engine.stagegraph import build_stage_plan, scenario_identity
 from repro.service.jobs import JobQueue
 from repro.service.supervisor import Supervisor, job_checkpoint_dir
 from repro.store import ArtifactStore
 
 TINY = Scenario(workload="ep", max_a=2, max_b=2, stages=("frontier",),
                 name="tiny")
+
+DATA = Path(__file__).parent / "data"
+#: A job row and a checkpoint an earlier release wrote for the same job:
+#: its scenario pins ``chunk_rows: 4``, and the run was interrupted after
+#: three of that plan's blocks.
+PARENT_JOB = DATA / "parent_job_chunk_rows4.json"
+PARENT_JOB_CHECKPOINT = DATA / "parent_job_chunk_rows4.ckpt"
+
+
+def streaming_job(name):
+    """A streaming job whose memory budget splits it into blocks."""
+    return Scenario(
+        workload="ep", max_a=3, max_b=3, stages=("frontier",),
+        space_mode="streaming", memory_budget_mb=0.002, name=name,
+    )
+
+
+def planned_blocks(scenario):
+    """Blocks in the plan a supervisor's run of ``scenario`` streams."""
+    plan = build_stage_plan(scenario, RunContext(seed=scenario.seed))
+    return len(space_block_plan(
+        plan.group_specs, memory_budget_mb=scenario.memory_budget_mb
+    ))
 
 
 @pytest.fixture
@@ -89,6 +115,43 @@ class TestExecution:
         assert finished["result"]["scenario_identity"] == scenario_identity(
             TINY
         )
+
+    def test_parent_job_with_chunk_rows_runs(self, store, queue):
+        # The parent's row pins ``chunk_rows: 4`` and carries
+        # ``simulation``; its checkpoint was cut under that 4-row plan,
+        # which the memory budget no longer produces.  The checkpoint is
+        # discarded, not fatal, and the job runs from its first block.
+        old_json = PARENT_JOB.read_text()
+        current = Scenario(**{
+            k: v for k, v in json.loads(old_json).items()
+            if k not in ("chunk_rows", "simulation")
+        })
+        job, _ = queue.enqueue(old_json, scenario_name=current.name)
+        ckpt_dir = job_checkpoint_dir(store, job["id"])
+        ckpt_dir.mkdir(parents=True)
+        fingerprint = stable_hash(
+            ("scenario-checkpoint", current.cache_identity())
+        )
+        shutil.copyfile(
+            PARENT_JOB_CHECKPOINT, ckpt_dir / f"checkpoint-{fingerprint}.ckpt"
+        )
+        events = []
+        with pytest.warns(DeprecationWarning, match="chunk_rows"):
+            Supervisor(
+                store, worker_id="w",
+                on_event=lambda event, **p: events.append((event, p)),
+            ).run_until_idle()
+        finished = queue.get(job["id"])
+        assert finished["state"] == "done", finished["error"]
+        assert finished["result"]["scenario_identity"] == scenario_identity(
+            current
+        )
+        invalidated = [p for e, p in events if e == "checkpoint.invalidated"]
+        assert [p["reason"] for p in invalidated] == [
+            "block plan changed (workers or memory budget)"
+        ]
+        reduced = [p for e, p in events if e == "space.reduced"]
+        assert reduced and reduced[0]["resumed_from_block"] == 0
 
     def test_cancelled_job_is_not_executed(self, store, queue):
         job, _ = queue.enqueue(TINY.to_json())
@@ -248,10 +311,8 @@ class TestRecovery:
             raise ValueError("malformed somewhere deep")
 
         monkeypatch.setattr("repro.service.supervisor.run_scenario", doomed)
-        streaming = Scenario(
-            workload="ep", max_a=3, max_b=3, stages=("frontier",),
-            space_mode="streaming", chunk_rows=4, name="doomed",
-        )
+        streaming = streaming_job("doomed")
+        assert planned_blocks(streaming) > 1
         job, _ = queue.enqueue(streaming.to_json(), max_attempts=1)
         Supervisor(store, worker_id="w").run_until_idle()
         assert queue.get(job["id"])["state"] == "failed"
@@ -269,10 +330,8 @@ class TestRecovery:
             raise WorkerCrash("injected worker death")
 
         monkeypatch.setattr("repro.service.supervisor.run_scenario", crashes)
-        streaming = Scenario(
-            workload="ep", max_a=3, max_b=3, stages=("frontier",),
-            space_mode="streaming", chunk_rows=4, name="crashy",
-        )
+        streaming = streaming_job("crashy")
+        assert planned_blocks(streaming) > 1
         job, _ = queue.enqueue(streaming.to_json(), max_attempts=3)
         Supervisor(store, worker_id="w").run_until_idle()
         assert queue.get(job["id"])["state"] == "queued"
@@ -281,10 +340,8 @@ class TestRecovery:
     def test_streaming_job_gets_a_checkpoint_dir(self, store, queue):
         """Streaming scenarios checkpoint under the store's jobs/ tree;
         the prefix is cleaned up once the job completes."""
-        streaming = Scenario(
-            workload="ep", max_a=3, max_b=3, stages=("frontier",),
-            space_mode="streaming", chunk_rows=4, name="stream",
-        )
+        streaming = streaming_job("stream")
+        assert planned_blocks(streaming) > 1
         job, _ = queue.enqueue(streaming.to_json())
         ckpt = job_checkpoint_dir(store, job["id"])
         done = Supervisor(

@@ -78,6 +78,14 @@ class TestErrors:
         with pytest.raises(KeyError):
             main(["fig4", "--workload", "nope"])
 
+    @pytest.mark.parametrize(
+        "flags", [["--simulation", "reference"], ["--chunk-rows", "4"]]
+    )
+    def test_retired_flags_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit):
+            main(["table3", *flags])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExtensionCommands:
     def test_reduce(self, capsys):
