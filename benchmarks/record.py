@@ -17,13 +17,15 @@ are now the only measurement path; perfbench's
 
 ``--pr 3`` (the N-group cluster-table refactor) times:
 
-* **two-type no-regression** -- the paper's full 10x10 memcached space
-  through the group-table ``evaluate_space`` vs the frozen pre-refactor
-  snapshot (``core/_evaluate_pair.py``), bit-for-bit equality-checked
-  first; the refactor must stay within noise of the old layout;
 * **three-type throughput** -- an ARM + AMD + Atom space through
-  ``evaluate_space_groups`` (rows/second; no pre-refactor reference
-  exists for k=3).
+  ``evaluate_space_groups`` (rows/second).
+
+The two-type no-regression pair it also timed (group-table
+``evaluate_space`` vs the frozen pre-refactor snapshot) is gone: the
+snapshot lives in ``tests/property/_evaluate_pair.py`` as the oracle of
+the bit-for-bit property test, and perfbench's
+``evaluate.ms_per_scenario`` on ``paper_sweep`` times the two-type
+space.
 
 ``--pr 4`` (the streaming config-space pipeline) records:
 
@@ -130,45 +132,6 @@ def bench_fig10_queueing(repeats: int, n_jobs: int = 50_000) -> Dict:
         reference,
         lindley,
         "simulate_queue_lindley vs simulate_queue (same sample path)",
-    )
-
-
-def bench_two_type_no_regression(repeats: int) -> Dict:
-    """The paper's 10x10 memcached space: group-table vs frozen pair layout."""
-    from repro.core._evaluate_pair import evaluate_space_pair
-    from repro.core.calibration import ground_truth_params
-    from repro.core.evaluate import evaluate_space
-    from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
-    from repro.workloads.suite import MEMCACHED
-
-    params = {
-        spec.name: ground_truth_params(spec, MEMCACHED)
-        for spec in (ARM_CORTEX_A9, AMD_K10)
-    }
-    units = 50_000.0
-    new = evaluate_space(ARM_CORTEX_A9, 10, AMD_K10, 10, params, units)
-    old = evaluate_space_pair(ARM_CORTEX_A9, 10, AMD_K10, 10, params, units)
-    for name in (
-        "n_a", "cores_a", "f_a", "n_b", "cores_b", "f_b",
-        "units_a", "units_b", "times_s", "energies_j",
-    ):
-        assert np.array_equal(
-            np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
-        ), name
-    reference = _best_of(
-        lambda: evaluate_space_pair(ARM_CORTEX_A9, 10, AMD_K10, 10, params, units),
-        repeats,
-    )
-    grouped = _best_of(
-        lambda: evaluate_space(ARM_CORTEX_A9, 10, AMD_K10, 10, params, units),
-        repeats,
-    )
-    return _pair(
-        f"two-type evaluate_space, {len(new)} rows (memcached 10x10)",
-        reference,
-        grouped,
-        "group-table evaluate_space vs frozen _evaluate_pair snapshot, "
-        "bit-for-bit equality-checked first",
     )
 
 
@@ -343,11 +306,11 @@ def _four_type_setup():
     return specs, params, 50e6
 
 
-def bench_backend_matrix(repeats: int, n_chunks: int = 8) -> Dict:
+def bench_backend_matrix(repeats: int, budget_mb: float = 64.0) -> Dict:
     """Every execution backend over the four-type space, one truth.
 
-    The ~1.6M-row space is evaluated chunked (``n_chunks`` blocks)
-    through ``serial``, ``process_pool`` (result pipe), ``process_pool``
+    The ~1.6M-row space is evaluated chunked (blocks sized by a
+    ``budget_mb`` memory budget and each backend's worker count) through ``serial``, ``process_pool`` (result pipe), ``process_pool``
     with the shared-memory fast path, and ``tcp_remote`` against two
     spawned localhost worker agents.  Each backend's column stacks are
     equality-checked bit-for-bit against the in-process whole-space
@@ -357,11 +320,18 @@ def bench_backend_matrix(repeats: int, n_chunks: int = 8) -> Dict:
     timed passes.
     """
     from repro.core.evaluate import evaluate_space_groups
-    from repro.engine.executor import evaluate_space_groups_chunked
+    from repro.engine.executor import (
+        evaluate_space_groups_chunked,
+        space_block_plan,
+    )
 
     specs, params, units = _four_type_setup()
     reference = evaluate_space_groups(specs, params, units)
     rows = len(reference)
+    serial_blocks = len(
+        space_block_plan(specs, memory_budget_mb=budget_mb, backend="serial")
+    )
+    assert serial_blocks > 1
 
     configs = {
         "serial": ("serial", None),
@@ -378,7 +348,7 @@ def bench_backend_matrix(repeats: int, n_chunks: int = 8) -> Dict:
             specs,
             params,
             units,
-            n_chunks=n_chunks,
+            memory_budget_mb=budget_mb,
             backend=name,
             backend_options=options,
         )
@@ -399,11 +369,13 @@ def bench_backend_matrix(repeats: int, n_chunks: int = 8) -> Dict:
     shm_s = results["process_pool_shm"]["elapsed_s"]
     return {
         "label": (
-            f"four-type space, {rows} rows (EP, 4x3x3x3), {n_chunks} chunks, "
-            "all execution backends"
+            f"four-type space, {rows} rows (EP, 4x3x3x3), {budget_mb:g} MB "
+            f"block budget ({serial_blocks} serial blocks), all execution "
+            "backends"
         ),
         "rows": rows,
-        "n_chunks": n_chunks,
+        "memory_budget_mb": budget_mb,
+        "serial_blocks": serial_blocks,
         "backends": results,
         "shm_vs_pipe_speedup": pipe_s / shm_s,
         "detail": (
@@ -643,7 +615,6 @@ _PR_RECORDS = {
         "pr": "N-group cluster table",
         "default_output": "BENCH_PR3.json",
         "benches": {
-            "two_type_no_regression": bench_two_type_no_regression,
             "three_type_throughput": bench_three_type_throughput,
         },
     },

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.engine import ResultCache, RunContext, Scenario, run_scenario
+from repro.engine.scenario import show_retired_fields
 from repro.reporting.export import write_csv
 from repro.reporting.figures import (
     build_fig2,
@@ -41,6 +42,7 @@ from repro.hardware.catalog import AMD_K10 as _AMD_NODE
 from repro.hardware.catalog import ARM_CORTEX_A9 as _ARM_NODE
 from repro.reporting.tables import Table
 from repro.util.units import seconds_to_ms
+from repro.util.validate import positive_float_arg
 from repro.workloads.suite import EP, MEMCACHED, workload_by_name
 
 
@@ -302,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--lease-s",
-        type=float,
+        type=positive_float_arg,
         default=30.0,
         help="job lease duration for serve's supervisors; a crashed "
         "worker's job is reclaimed this long after its last heartbeat "
@@ -325,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--memory-budget-mb",
-        type=float,
+        type=positive_float_arg,
         default=None,
         help="streaming block budget in MiB (caps rows held at once; "
         "default 256)",
@@ -395,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--task-timeout-s",
-        type=float,
+        type=positive_float_arg,
         default=None,
         help="per-task timeout for pooled evaluation; a task exceeding "
         "it is retried on a fresh pool (default: no timeout)",
@@ -406,6 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="print engine progress events (stages, cache hits, timings)",
     )
     args = parser.parse_args(argv)
+    show_retired_fields("always" if args.artifact == "serve" else "once")
     if args.artifact == "serve":
         if args.store_dir is None:
             print("serve requires --store-dir <store>", file=sys.stderr)

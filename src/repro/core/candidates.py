@@ -19,8 +19,9 @@ interface so that sweep becomes *a* strategy instead of *the* strategy:
   those blocks into explicit candidate rows in the exact global row
   order of :func:`repro.core.evaluate.evaluate_space_groups`;
 * :func:`expand_block_rows` -- a :class:`BlockTask`'s ``(n, cores, f)``
-  columns without evaluating anything (the row-order oracle the property
-  tests pin sources against).
+  columns without evaluating anything, built by the same index
+  generator and column assembly as the evaluator's row kernel (the
+  row-order oracle the property tests pin sources against).
 
 Search agents (:mod:`repro.search`) implement the same protocol with
 feedback-driven proposals; the evaluator, streaming planner, and
@@ -36,7 +37,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.configuration import GroupSpec, node_settings, presence_masks
-from repro.core.evaluate import _normalize_counts
+from repro.core.evaluate import (
+    _block_index_columns,
+    _normalize_counts,
+    _pinned_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -135,60 +140,35 @@ def expand_block_rows(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A :class:`BlockTask`'s ``(n, cores, f)`` columns, unevaluated.
 
-    Replicates :func:`repro.core.evaluate._evaluate_mask_block`'s output
-    column construction exactly -- interleaved (count, setting) axes per
-    present group, C-order flatten, absent groups pinned at ``n = 0``
-    and the spec's maxima -- without computing times or energies.
+    Generates the block's ``(n, setting_index)`` columns with the same
+    index generator as the exhaustive block
+    (:func:`repro.core.evaluate._block_index_columns`) and maps the
+    setting indices to ``(cores, f)`` the way the row kernel does --
+    absent groups pinned at ``n = 0`` and the spec's maxima -- without
+    computing times or energies.
     """
     group_specs = tuple(group_specs)
-    k = len(group_specs)
     present = tuple(
-        g for g in range(k) if any(c > 0 for c in task_counts[g])
+        g for g in range(len(group_specs)) if any(c > 0 for c in task_counts[g])
     )
     if not present:
         raise ValueError("block task has no present group")
     settings = [node_settings(gs.spec, gs.settings) for gs in group_specs]
-    pos = {
-        g: np.asarray([c for c in task_counts[g] if c > 0], dtype=np.int64)
-        for g in present
-    }
-    naxes = 2 * len(present)
-
-    def _axis_view(arr: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * naxes
-        shape[axis] = arr.size
-        return arr.reshape(shape)
-
-    n_views = [_axis_view(pos[g], 2 * i) for i, g in enumerate(present)]
-    s_views = [
-        _axis_view(np.arange(len(settings[g])), 2 * i + 1)
-        for i, g in enumerate(present)
-    ]
-    shape = tuple(
-        size
-        for i, g in enumerate(present)
-        for size in (pos[g].size, len(settings[g]))
+    n_cols, s_cols = _block_index_columns(
+        [
+            np.asarray([c for c in task_counts[g] if c > 0], dtype=np.int64)
+            for g in present
+        ],
+        [len(settings[g]) for g in present],
     )
-    n_flat = [np.broadcast_to(v, shape).reshape(-1) for v in n_views]
-    s_flat = [np.broadcast_to(v, shape).reshape(-1) for v in s_views]
-
-    n_rows = int(np.prod(shape)) if shape else 0
-    n_out = np.zeros((k, n_rows), dtype=np.int64)
-    cores_out = np.empty((k, n_rows), dtype=np.int64)
-    f_out = np.empty((k, n_rows), dtype=float)
-    pos_of = {g: i for i, g in enumerate(present)}
-    for g, gs in enumerate(group_specs):
-        cores_g = np.asarray([c for c, _ in settings[g]], dtype=np.int64)
-        f_g = np.asarray([f for _, f in settings[g]], dtype=float)
-        if g in pos_of:
-            i = pos_of[g]
-            n_out[g] = n_flat[i]
-            cores_out[g] = cores_g[s_flat[i]]
-            f_out[g] = f_g[s_flat[i]]
-        else:
-            cores_out[g] = gs.spec.cores.count
-            f_out[g] = gs.spec.cores.fmax_ghz
-    return n_out, cores_out, f_out
+    return _pinned_columns(
+        group_specs,
+        present,
+        n_cols,
+        s_cols,
+        [np.asarray([c for c, _ in s], dtype=np.int64) for s in settings],
+        [np.asarray([f for _, f in s], dtype=float) for s in settings],
+    )
 
 
 class ExhaustiveSource(CandidateSource):
@@ -245,11 +225,11 @@ class ExhaustiveSource(CandidateSource):
             mask_rows = rows_per_lead_count * int(pos[lead].size)
             if mask_rows == 0:
                 continue
-            n_chunks = max(
+            parts = max(
                 int(min_chunks), math.ceil(mask_rows / max_block_rows)
             )
-            n_chunks = max(1, min(n_chunks, int(pos[lead].size)))
-            for part in np.array_split(pos[lead], n_chunks):
+            parts = max(1, min(parts, int(pos[lead].size)))
+            for part in np.array_split(pos[lead], parts):
                 if not part.size:
                     continue
                 task_counts = tuple(

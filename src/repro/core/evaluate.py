@@ -6,26 +6,33 @@ Two implementations of the same semantics:
   equation-level functions (:mod:`timemodel`, :mod:`energymodel`,
   :mod:`matching`, :mod:`multiway`).  The reference.
 * :func:`evaluate_space_groups` -- vectorized over the entire
-  configuration space of any number of node-type groups with NumPy
-  broadcasting (the 36,380-point space of Fig. 4 evaluates in
-  milliseconds); :func:`evaluate_space` is its two-type entry point,
-  bit-for-bit identical to the pre-refactor paired evaluator (pinned
-  against the frozen copy in :mod:`repro.core._evaluate_pair`).
+  configuration space of any number of node-type groups (the
+  36,380-point space of Fig. 4 evaluates in milliseconds);
+  :func:`evaluate_space` is its two-type entry point.
 
-The space is evaluated block-by-block over presence masks (which subset
-of groups participates); within a block the matched split uses the
-closed form when no floor binds, the historical two-group
-:func:`_vector_match` when exactly two groups are present, and the
-k-way capacity bisection of :mod:`repro.core.multiway` -- vectorized in
-:func:`_vector_match_groups` -- for three or more.  Everything exploits
-the exact linear form ``T(W) = max(gamma W, floor)`` and the fact that
-every energy term is ``n * P_idle * T + W * K + P_IO * max(W *
-io_slope, floor)`` with a per-setting constant ``K`` (joules per unit,
-independent of node count) -- see the derivation in this module's
-helpers.
+Every vectorized evaluation runs through one row kernel,
+:func:`_evaluate_rows`.  Its input is one presence pattern (which
+subset of groups participates): per present group, a node-count column
+and an index into that group's precomputed setting grid
+(:func:`_setting_grid`).  An exhaustive presence-mask block is
+broadcast generation of those index columns
+(:func:`_block_index_columns`) followed by one kernel call; a search
+candidate batch (:mod:`repro.search.evaluator`) looks the indices up
+and calls the kernel once per pattern.  Within the kernel the matched
+split uses the closed form when no floor binds, the historical
+two-group :func:`_vector_match` when exactly two groups are present,
+and the k-way capacity bisection of :mod:`repro.core.multiway` --
+vectorized in :func:`_vector_match_groups` -- for three or more.
+Everything exploits the exact linear form ``T(W) = max(gamma W,
+floor)`` and the fact that every energy term is ``n * P_idle * T + W *
+K + P_IO * max(W * io_slope, floor)`` with a per-setting constant ``K``
+(joules per unit, independent of node count) -- see the derivation in
+this module's helpers.
 
 Property-based tests pin the scalar and vectorized paths against each
-other and against the scalar k-way solver.
+other and against the scalar k-way solver, and pin the two-type space
+bit for bit against a frozen snapshot of the pre-refactor paired
+evaluator (``tests/property/_evaluate_pair.py``).
 """
 
 from __future__ import annotations
@@ -539,113 +546,114 @@ def _vector_match_groups(
 
 
 def _group_energy(
+    grid: _SettingGrid,
+    s: np.ndarray,
     n: np.ndarray,
     w: np.ndarray,
     time: np.ndarray,
-    k: np.ndarray,
-    io_slope: float,
-    floor_job: float,
-    p_idle: float,
-    p_io: float,
 ) -> np.ndarray:
-    """Group energy for vectorized settings (see :func:`_setting_grid`)."""
-    e_io = np.where(w > 0, p_io * np.maximum(w * io_slope, floor_job), 0.0)
-    return n * p_idle * time + w * k + e_io
+    """One group's energy at setting indices ``s`` (see :func:`_setting_grid`)."""
+    e_io = np.where(
+        w > 0, grid.p_io_w * np.maximum(w * grid.io_slope_node, grid.floor_job_s), 0.0
+    )
+    return n * grid.p_idle_w * time + w * grid.k_joules_per_unit[s] + e_io
 
 
-def _axis_view(arr: np.ndarray, axis: int, naxes: int) -> np.ndarray:
-    """``arr`` reshaped to broadcast along one of ``naxes`` axes."""
-    shape = [1] * naxes
-    shape[axis] = arr.size
-    return arr.reshape(shape)
+def _block_index_columns(
+    pos: Sequence[np.ndarray], n_settings: Sequence[int]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """A presence-mask block's ``n`` and setting-index columns.
+
+    ``pos[i]``/``n_settings[i]`` are present group ``i``'s positive node
+    counts and setting count.  The axes interleave (count, setting) per
+    present group and flatten C-order -- the nesting of
+    :func:`repro.core.configuration.enumerate_configs_groups`.
+    """
+    shape = tuple(size for p, s in zip(pos, n_settings) for size in (p.size, s))
+
+    def column(values: np.ndarray, axis: int) -> np.ndarray:
+        view = [1] * len(shape)
+        view[axis] = values.size
+        return np.broadcast_to(values.reshape(view), shape).reshape(-1)
+
+    n_cols = [column(p, 2 * i) for i, p in enumerate(pos)]
+    s_cols = [column(np.arange(s), 2 * i + 1) for i, s in enumerate(n_settings)]
+    return n_cols, s_cols
 
 
-def _evaluate_mask_block(
+def _pinned_columns(
+    group_specs: Sequence[GroupSpec],
+    present: Sequence[int],
+    n_cols: Sequence[np.ndarray],
+    s_cols: Sequence[np.ndarray],
+    cores_of: Sequence[np.ndarray],
+    f_of: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(G, N)`` ``n``/``cores``/``f`` stacks for one presence pattern.
+
+    Present groups map setting indices through ``cores_of[g]``/
+    ``f_of[g]``; absent groups are pinned at ``n = 0`` and the spec's
+    maxima.
+    """
+    shape = (len(group_specs), n_cols[0].size)
+    n_out = np.zeros(shape, dtype=np.int64)
+    cores_out = np.empty(shape, dtype=np.int64)
+    f_out = np.empty(shape, dtype=float)
+    for g, gs in enumerate(group_specs):
+        cores_out[g] = gs.spec.cores.count
+        f_out[g] = gs.spec.cores.fmax_ghz
+    for g, n, s in zip(present, n_cols, s_cols):
+        n_out[g] = n
+        cores_out[g] = cores_of[g][s]
+        f_out[g] = f_of[g][s]
+    return n_out, cores_out, f_out
+
+
+def _evaluate_rows(
     group_specs: Sequence[GroupSpec],
     grids: Sequence[_SettingGrid],
-    pos: Sequence[np.ndarray],
-    present: Tuple[int, ...],
+    present: Sequence[int],
+    n_cols: Sequence[np.ndarray],
+    s_cols: Sequence[np.ndarray],
     units: float,
 ) -> ConfigSpaceResult:
-    """Evaluate one presence-mask block of the space, vectorized.
+    """The row kernel: evaluate rows that share one presence pattern.
 
-    The block's axes interleave (count, setting) per present group in
-    group order and flatten C-order -- the exact nesting of
-    :func:`repro.core.configuration.enumerate_configs_groups` (and, for
-    two groups, of the historical paired evaluator).
+    ``present`` lists the participating groups in order; ``n_cols[i]``
+    and ``s_cols[i]`` hold group ``present[i]``'s positive node count
+    and its index into ``grids[present[i]]``, one entry per row.  Every
+    operation is elementwise, so a row gets the same bits whichever
+    rows share its call.
     """
-    n_present = len(present)
-    naxes = 2 * n_present
-    n_views = [_axis_view(pos[g], 2 * i, naxes) for i, g in enumerate(present)]
-    s_views = [
-        _axis_view(np.arange(grids[g].cores.size), 2 * i + 1, naxes)
-        for i, g in enumerate(present)
-    ]
-    shape = tuple(
-        size
-        for i, g in enumerate(present)
-        for size in (pos[g].size, grids[g].cores.size)
-    )
-
-    n_flat = [np.broadcast_to(v, shape).reshape(-1) for v in n_views]
-    s_flat = [np.broadcast_to(v, shape).reshape(-1) for v in s_views]
-
-    gammas = [
-        np.broadcast_to(
-            grids[g].slope_node[s_views[i]] / n_views[i], shape
-        ).reshape(-1).copy()
-        for i, g in enumerate(present)
-    ]
-    floors = [
-        np.broadcast_to(
-            grids[g].floor_job_s / n_views[i], shape
-        ).reshape(-1).copy()
-        for i, g in enumerate(present)
-    ]
-
-    if n_present == 1:
+    gammas = [grids[g].slope_node[s] / n for g, n, s in zip(present, n_cols, s_cols)]
+    floors = [grids[g].floor_job_s / n for g, n in zip(present, n_cols)]
+    if len(present) == 1:
         time = np.maximum(gammas[0] * units, floors[0])
         w = [np.full(time.shape, float(units))]
-    elif n_present == 2:
+    elif len(present) == 2:
         w_a, time = _vector_match(units, gammas[0], floors[0], gammas[1], floors[1])
         w = [w_a, units - w_a]
     else:
-        w_stack, time = _vector_match_groups(
-            units, np.stack(gammas), np.stack(floors)
-        )
+        w_stack, time = _vector_match_groups(units, np.stack(gammas), np.stack(floors))
         w = list(w_stack)
+    del gammas, floors
 
-    energy: Optional[np.ndarray] = None
-    for i, g in enumerate(present):
-        e = _group_energy(
-            n_flat[i],
-            w[i],
-            time,
-            grids[g].k_joules_per_unit[s_flat[i]],
-            grids[g].io_slope_node,
-            grids[g].floor_job_s,
-            grids[g].p_idle_w,
-            grids[g].p_io_w,
-        )
-        energy = e if energy is None else energy + e
+    # The first present group's term, then each later one added to it.
+    terms = (
+        _group_energy(grids[g], s, n, w_g, time)
+        for g, n, s, w_g in zip(present, n_cols, s_cols, w)
+    )
+    energy = next(terms)
+    for e in terms:
+        energy += e
 
-    n_configs = time.size
-    k_groups = len(group_specs)
-    n_out = np.zeros((k_groups, n_configs), dtype=np.int64)
-    cores_out = np.empty((k_groups, n_configs), dtype=np.int64)
-    f_out = np.empty((k_groups, n_configs), dtype=float)
-    units_out = np.zeros((k_groups, n_configs), dtype=float)
-    pos_of = {g: i for i, g in enumerate(present)}
-    for g, gs in enumerate(group_specs):
-        if g in pos_of:
-            i = pos_of[g]
-            n_out[g] = n_flat[i]
-            cores_out[g] = grids[g].cores[s_flat[i]]
-            f_out[g] = grids[g].f_ghz[s_flat[i]]
-            units_out[g] = w[i]
-        else:
-            cores_out[g] = gs.spec.cores.count
-            f_out[g] = gs.spec.cores.fmax_ghz
+    n_out, cores_out, f_out = _pinned_columns(
+        group_specs, present, n_cols, s_cols,
+        [grid.cores for grid in grids], [grid.f_ghz for grid in grids],
+    )
+    units_out = np.zeros(n_out.shape, dtype=float)
+    for g, w_g in zip(present, w):
+        units_out[g] = w_g
     return ConfigSpaceResult(
         nodes=tuple(gs.spec.name for gs in group_specs),
         n=n_out,
@@ -694,8 +702,17 @@ def evaluate_space_groups(
     counts = [_normalize_counts(gs.counts, gs.max_nodes) for gs in group_specs]
     pos = [c[c > 0] for c in counts]
 
+    # Each presence-mask block: its index columns, then one kernel call.
     blocks = [
-        _evaluate_mask_block(group_specs, grids, pos, present, units)
+        _evaluate_rows(
+            group_specs,
+            grids,
+            present,
+            *_block_index_columns(
+                [pos[g] for g in present], [grids[g].cores.size for g in present]
+            ),
+            units,
+        )
         for present in presence_masks(group_specs)
     ]
     return _concat_results(blocks)
@@ -718,8 +735,8 @@ def evaluate_space(
     Parameters mirror :func:`repro.core.configuration.enumerate_configs`;
     row order matches its yield order exactly (heterogeneous block, then
     a-only, then b-only), which tests rely on.  Bit-for-bit identical to
-    the pre-refactor paired evaluator (see
-    :mod:`repro.core._evaluate_pair`).
+    the pre-refactor paired evaluator (pinned against its frozen
+    snapshot, ``tests/property/_evaluate_pair.py``).
 
     ``counts_a``/``counts_b`` pin the per-type node counts to an explicit
     list instead of ``0..max`` (0 means "this type absent", producing the

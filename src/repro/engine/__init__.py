@@ -12,7 +12,7 @@ on top.  This package is the one place that pipeline is wired:
   executor, threaded through every stage;
 * :func:`run_scenario` -- execute a scenario end-to-end into a
   :class:`ScenarioResult`;
-* :func:`evaluate_space_chunked` / :func:`parallel_map` -- the executor
+* :func:`evaluate_space_groups_chunked` / :func:`parallel_map` -- the executor
   primitives, usable directly;
 * :class:`ResultCache` -- the memoization layer, with an optional
   on-disk tier (conventionally ``results/.cache/``), checksummed and
@@ -49,7 +49,7 @@ from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.context import RunContext, default_context, set_default_context
 from repro.engine.executor import (
-    evaluate_space_chunked,
+    evaluate_space_groups_chunked,
     iter_space_groups_chunked,
     parallel_map,
 )
@@ -107,7 +107,7 @@ __all__ = [
     "WorkerCrash",
     "build_stage_plan",
     "default_context",
-    "evaluate_space_chunked",
+    "evaluate_space_groups_chunked",
     "explain_scenario",
     "iter_space_groups_chunked",
     "parallel_map",

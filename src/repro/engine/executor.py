@@ -7,10 +7,8 @@ Two fan-out shapes cover the engine's needs:
   over its first present group's counts -- evaluates the blocks
   independently (optionally on a process pool), and concatenates in
   exactly :func:`repro.core.evaluate.evaluate_space_groups`'s row order,
-  which downstream code and tests rely on.
-  :func:`evaluate_space_chunked` is the two-type entry point.  A
-  property test pins the chunked result against the whole-space
-  evaluation bit-for-bit.
+  which downstream code and tests rely on.  A property test pins the
+  chunked result against the whole-space evaluation bit-for-bit.
 * :func:`iter_space_groups_chunked` is the streaming twin: it yields the
   same blocks *as workers complete them*, re-ordered deterministically,
   so reducers can consume the space while later blocks are still being
@@ -25,8 +23,7 @@ Block sizes default to the memory budget: the number of chunks is derived
 from ``memory_budget_mb`` and the per-row width
 (:func:`repro.core.streaming.max_rows_for_budget`), not from a fixed
 node-count split, so four-group spaces split finely while a 10x10 pair
-space stays in one piece.  An explicit ``n_chunks`` still pins the
-partition count exactly (property tests rely on that branch).
+space stays in one piece.
 
 Process pools pay a fork + pickle toll, so both helpers run serially for
 small inputs (below :data:`PARALLEL_THRESHOLD_ROWS` rows / fewer than two
@@ -70,18 +67,15 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core import evaluate as _evaluate
-from repro.core.configuration import GroupSpec, node_settings, presence_masks
-from repro.core.evaluate import ConfigSpaceResult, _concat_results, _normalize_counts
+from repro.core.configuration import GroupSpec
+from repro.core.evaluate import ConfigSpaceResult, _concat_results
 from repro.core.params import NodeModelParams
 from repro.core.streaming import (
     DEFAULT_MEMORY_BUDGET_MB,
     BlockReduction,
     SpaceBlock,
     count_space_rows,
-    evaluate_block_task,
     max_rows_for_budget,
     plan_block_tasks,
 )
@@ -94,9 +88,8 @@ from repro.engine.backends import (
 from repro.engine.faults import FaultInjector
 from repro.engine.job import build_job, run_block
 from repro.engine.resilience import Emit, ResiliencePolicy
-from repro.hardware.specs import NodeSpec
 
-#: Below this many estimated rows the fork+pickle toll outweighs the win.
+#: Below this many rows the fork+pickle toll outweighs the win.
 PARALLEL_THRESHOLD_ROWS = 100_000
 
 #: Adaptive planner: aim for this many blocks per worker, so one
@@ -106,9 +99,6 @@ OVERSUBSCRIPTION = 4
 #: Adaptive planner: blocks below this row count are dispatch overhead
 #: (submission + result frames cost more than the evaluation).
 MIN_ADAPTIVE_BLOCK_ROWS = 32_768
-
-#: "No row budget": large enough that only ``min_chunks`` drives the plan.
-_UNBOUNDED_ROWS = 2**62
 
 
 def _plan_workers(max_workers: Optional[int], backend: ExecutionBackend) -> int:
@@ -126,29 +116,16 @@ def _plan_workers(max_workers: Optional[int], backend: ExecutionBackend) -> int:
     return max(1, backend.parallelism)
 
 
-def _chunk(values: np.ndarray, n_chunks: int) -> List[np.ndarray]:
-    """Split ``values`` into up to ``n_chunks`` contiguous, order-preserving parts."""
-    n_chunks = max(1, min(int(n_chunks), values.size))
-    return [c for c in np.array_split(values, n_chunks) if c.size]
-
-
-# One node-count block (top-level so process pools can pickle it); the
-# canonical implementation lives with the block planner in core.streaming.
-_evaluate_block = evaluate_block_task
-
-
 def _plan_tasks(
     group_specs: Tuple[GroupSpec, ...],
     workers: int,
-    n_chunks: Optional[int],
     memory_budget_mb: Optional[float],
     inflight_blocks: int = 1,
 ):
     """The deterministic block plan for a chunked/streamed evaluation.
 
-    An explicit ``n_chunks`` pins the partition count per presence-mask
-    block (no row budget); otherwise the memory budget and the worker
-    count decide an *adaptive* plan -- block rows target
+    The memory budget and the worker count decide an *adaptive* plan --
+    block rows target
     ``total_rows / (workers * OVERSUBSCRIPTION)`` (floored at
     :data:`MIN_ADAPTIVE_BLOCK_ROWS` so tiny blocks don't drown in
     dispatch overhead), with the memory budget
@@ -158,10 +135,6 @@ def _plan_tasks(
     oversubscription math and take the budget-sized blocks directly --
     bit-for-bit the historical serial plan.
     """
-    if n_chunks is not None:
-        return plan_block_tasks(
-            group_specs, _UNBOUNDED_ROWS, min_chunks=max(1, int(n_chunks))
-        )
     budget = (
         DEFAULT_MEMORY_BUDGET_MB if memory_budget_mb is None
         else float(memory_budget_mb)
@@ -180,7 +153,6 @@ def _plan_tasks(
 def space_block_plan(
     group_specs: Sequence[GroupSpec],
     max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
     backend: Optional[Any] = None,
     backend_options: Optional[Mapping[str, Any]] = None,
@@ -197,7 +169,7 @@ def space_block_plan(
     workers = _plan_workers(max_workers, be)
     window = workers + 1
     return _plan_tasks(
-        group_specs, workers, n_chunks, memory_budget_mb,
+        group_specs, workers, memory_budget_mb,
         inflight_blocks=window if workers > 1 else 1,
     )
 
@@ -207,7 +179,6 @@ def evaluate_space_groups_chunked(
     params: Mapping[str, NodeModelParams],
     units: float,
     max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
     policy: Optional[ResiliencePolicy] = None,
     injector: Optional[FaultInjector] = None,
@@ -220,8 +191,7 @@ def evaluate_space_groups_chunked(
     Semantics and row order are identical to
     :func:`repro.core.evaluate.evaluate_space_groups`; only the execution
     shape differs.  ``max_workers`` caps the process pool (``1`` forces
-    in-process execution); ``n_chunks`` pins the number of chunks per
-    presence-mask block, and when omitted the chunk size is derived from
+    in-process execution); the chunk size is derived from
     ``memory_budget_mb`` and the per-row width (at least one chunk per
     worker).  Small spaces take the direct path -- chunking is pure
     overhead below :data:`PARALLEL_THRESHOLD_ROWS` rows.
@@ -230,20 +200,14 @@ def evaluate_space_groups_chunked(
     bit-identical whichever runs the blocks.
     """
     group_specs = tuple(group_specs)
-    counts = [_normalize_counts(gs.counts, gs.max_nodes) for gs in group_specs]
-    pos = [c[c > 0] for c in counts]
-
     be = resolve_backend(backend, backend_options, max_workers=max_workers)
     workers = _plan_workers(max_workers, be)
-    masks = list(presence_masks(group_specs))
-    rows = _estimate_rows(group_specs, pos, masks)
-    small = rows < PARALLEL_THRESHOLD_ROWS and n_chunks is None
-    if small or not masks:
-        # Degenerate count lists also land here; the reference path
-        # raises its own error for them.
+    if count_space_rows(group_specs) < PARALLEL_THRESHOLD_ROWS:
+        # Degenerate count lists (no rows) also land here; the reference
+        # path raises its own error for them.
         return _evaluate.evaluate_space_groups(group_specs, params, units)
 
-    tasks = _plan_tasks(group_specs, workers, n_chunks, memory_budget_mb)
+    tasks = _plan_tasks(group_specs, workers, memory_budget_mb)
     if len(tasks) < 2:
         return _evaluate.evaluate_space_groups(group_specs, params, units)
 
@@ -260,7 +224,6 @@ def iter_space_groups_chunked(
     params: Mapping[str, NodeModelParams],
     units: float,
     max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
     policy: Optional[ResiliencePolicy] = None,
     injector: Optional[FaultInjector] = None,
@@ -305,12 +268,8 @@ def iter_space_groups_chunked(
     if not group_specs:
         raise ValueError("need at least one node-type group")
     be = resolve_backend(backend, backend_options, max_workers=max_workers)
-    workers = _plan_workers(max_workers, be)
-    window = workers + 1
-    tasks = _plan_tasks(
-        group_specs, workers, n_chunks, memory_budget_mb,
-        inflight_blocks=window if workers > 1 else 1,
-    )
+    window = _plan_workers(max_workers, be) + 1
+    tasks = space_block_plan(group_specs, max_workers, memory_budget_mb, backend=be)
     if not tasks:
         # Let the reference path raise its own error message.
         _evaluate.evaluate_space_groups(group_specs, params, units)
@@ -334,61 +293,6 @@ def iter_space_groups_chunked(
             yield SpaceBlock(index=idx, start_row=job.starts[idx], data=result)
         else:
             yield result
-
-
-def evaluate_space_chunked(
-    spec_a: NodeSpec,
-    max_a: int,
-    spec_b: NodeSpec,
-    max_b: int,
-    params: Mapping[str, NodeModelParams],
-    units: float,
-    counts_a: Optional[Sequence[int]] = None,
-    counts_b: Optional[Sequence[int]] = None,
-    settings_a: Optional[Sequence[Tuple[int, float]]] = None,
-    settings_b: Optional[Sequence[Tuple[int, float]]] = None,
-    max_workers: Optional[int] = None,
-    n_chunks: Optional[int] = None,
-    backend: Optional[Any] = None,
-    backend_options: Optional[Mapping[str, Any]] = None,
-) -> ConfigSpaceResult:
-    """Two-type entry point of :func:`evaluate_space_groups_chunked`.
-
-    Signature mirrors :func:`repro.core.evaluate.evaluate_space`.
-    """
-    if max_a < 0 or max_b < 0:
-        raise ValueError("maximum node counts must be non-negative")
-    if max_a == 0 and max_b == 0:
-        raise ValueError("space is empty with zero nodes of both types")
-    return evaluate_space_groups_chunked(
-        (
-            GroupSpec(spec_a, max_a, counts=counts_a, settings=settings_a),
-            GroupSpec(spec_b, max_b, counts=counts_b, settings=settings_b),
-        ),
-        params,
-        units,
-        max_workers=max_workers,
-        n_chunks=n_chunks,
-        backend=backend,
-        backend_options=backend_options,
-    )
-
-
-def _estimate_rows(
-    group_specs: Sequence[GroupSpec],
-    pos: Sequence[np.ndarray],
-    masks: Sequence[Tuple[int, ...]],
-) -> int:
-    dims = [
-        len(node_settings(gs.spec, gs.settings)) for gs in group_specs
-    ]
-    total = 0
-    for present in masks:
-        block = 1
-        for g in present:
-            block *= int(pos[g].size) * dims[g]
-        total += block
-    return total
 
 
 def parallel_map(

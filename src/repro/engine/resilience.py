@@ -47,6 +47,7 @@ from repro.engine.faults import (
     WorkerCrash,
 )
 from repro.util.rng import RngStream
+from repro.util.validate import finite_float, positive_float
 
 #: ``emit(event, **payload)`` -- the reporting-sink shape RunContext uses.
 Emit = Callable[..., None]
@@ -85,11 +86,14 @@ class ResiliencePolicy:
     def __post_init__(self) -> None:
         if self.max_task_retries < 0:
             raise ValueError("retry budget must be non-negative")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task timeout must be positive")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+        if self.task_timeout_s is not None:
+            positive_float(self.task_timeout_s, "task timeout")
+        if (
+            finite_float(self.backoff_base_s, "backoff base") < 0
+            or finite_float(self.backoff_max_s, "backoff max") < 0
+        ):
             raise ValueError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
+        if finite_float(self.backoff_factor, "backoff factor") < 1.0:
             raise ValueError("backoff factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")

@@ -22,12 +22,12 @@ executes a scenario end-to-end.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
+
+from repro.util.validate import finite_float, strict_int
 
 #: Analysis stages, in pipeline order.  ``calibrate`` and ``space`` always
 #: run (nothing downstream exists without them); the rest are opt-in.
@@ -46,6 +46,19 @@ _RETIRED_FIELDS = {
     "reduce_at": "every streaming block is folded where it is evaluated",
     "simulation": "the batched measurement campaign is the only one",
 }
+
+#: How the :class:`DeprecationWarning` for dropped retired fields begins.
+_RETIRED_FIELDS_WARNING = "ignoring retired scenario fields"
+
+
+def show_retired_fields(action: str = "once") -> None:
+    """Show the retired-fields warning on stderr, which Python's default
+    filters hide outside ``__main__``: ``"once"`` per distinct set of
+    fields, or ``"always"`` for a long-running service's log."""
+    warnings.filterwarnings(
+        action, message=_RETIRED_FIELDS_WARNING, category=DeprecationWarning
+    )
+
 
 #: Admissible ``Scenario.search`` strategies.
 SEARCH_STRATEGIES = ("exhaustive", "random", "ga", "anneal")
@@ -80,13 +93,13 @@ class NodeGroup:
     settings: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if _strict_int(self.max_nodes, "max_nodes") < 0:
+        if strict_int(self.max_nodes, "max_nodes") < 0:
             raise ValueError("maximum node counts must be non-negative")
         if self.counts is not None:
             object.__setattr__(
                 self,
                 "counts",
-                tuple(_strict_int(c, "each count") for c in self.counts),
+                tuple(strict_int(c, "each count") for c in self.counts),
             )
         if self.settings is not None:
             object.__setattr__(
@@ -94,8 +107,8 @@ class NodeGroup:
                 "settings",
                 tuple(
                     (
-                        _strict_int(c, "each setting's cores"),
-                        _finite_float(f, "each setting's frequency"),
+                        strict_int(c, "each setting's cores"),
+                        finite_float(f, "each setting's frequency"),
                     )
                     for c, f in self.settings
                 ),
@@ -113,29 +126,6 @@ class NodeGroup:
                 f"unknown node group fields {sorted(unknown)}; known: {sorted(known)}"
             )
         return cls(**data)
-
-
-def _strict_int(value: Any, name: str) -> int:
-    """``value`` as an ``int``, accepting only integers and finite
-    integral floats (``2.0``, and ``1e3`` from a JSON file).
-
-    Booleans, strings, fractional floats and non-finite numbers raise
-    ``ValueError``, where ``int()`` would coerce or overflow.
-    """
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _finite_float(value: Any, name: str) -> float:
-    """``value`` as a ``float``; booleans, strings, NaN and infinities
-    raise ``ValueError`` (a ``<= 0`` guard alone lets NaN through)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if math.isfinite(value):
-            return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
@@ -162,12 +152,12 @@ def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
         )
     budget = search.get("budget_rows")
     if budget is not None:
-        budget = _strict_int(budget, "search budget_rows")
+        budget = strict_int(budget, "search budget_rows")
         if budget < 1:
             raise ValueError("search budget_rows must be at least one row")
     batch = search.get("batch_rows")
     if batch is not None:
-        batch = _strict_int(batch, "search batch_rows")
+        batch = strict_int(batch, "search batch_rows")
         if batch < 1:
             raise ValueError("search batch_rows must be at least one row")
     seed = search.get("seed")
@@ -175,7 +165,7 @@ def _canonical_search(search: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "strategy": strategy,
         "budget_rows": budget,
-        "seed": None if seed is None else _strict_int(seed, "search seed"),
+        "seed": None if seed is None else strict_int(seed, "search seed"),
         "batch_rows": batch,
         "options": options,
     }
@@ -308,25 +298,25 @@ class Scenario:
                 object.__setattr__(self, "max_b", 0)
                 object.__setattr__(self, "counts_b", None)
         for pair_max in ("max_a", "max_b"):
-            if _strict_int(getattr(self, pair_max), pair_max) < 0:
+            if strict_int(getattr(self, pair_max), pair_max) < 0:
                 raise ValueError("maximum node counts must be non-negative")
         if self.node_types is not None:
             if all(g.max_nodes == 0 for g in self.node_types):
                 raise ValueError("a scenario needs at least one node of some type")
         elif self.max_a == 0 and self.max_b == 0:
             raise ValueError("a scenario needs at least one node of some type")
-        if self.units is not None and _finite_float(self.units, "units") <= 0:
+        if self.units is not None and finite_float(self.units, "units") <= 0:
             raise ValueError(f"units must be positive, got {self.units}")
-        if _finite_float(self.noise_scale, "noise_scale") < 0:
+        if finite_float(self.noise_scale, "noise_scale") < 0:
             raise ValueError("noise scale must be non-negative")
-        if _finite_float(self.window_s, "window_s") <= 0:
+        if finite_float(self.window_s, "window_s") <= 0:
             raise ValueError("queueing window must be positive")
         if self.space_mode not in ("materialized", "streaming"):
             raise ValueError(
                 f"space_mode must be 'materialized' or 'streaming', got "
                 f"{self.space_mode!r}"
             )
-        if self.memory_budget_mb is not None and _finite_float(
+        if self.memory_budget_mb is not None and finite_float(
             self.memory_budget_mb, "memory_budget_mb"
         ) <= 0:
             raise ValueError("memory budget must be positive")
@@ -367,7 +357,7 @@ class Scenario:
             if value is not None and not isinstance(value, tuple):
                 object.__setattr__(self, tup_field, tuple(value))
         for u in self.utilizations:
-            _finite_float(u, "each utilization")
+            finite_float(u, "each utilization")
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ValueError(
@@ -433,7 +423,7 @@ class Scenario:
         if retired:
             reasons = "; ".join(f"{k}: {_RETIRED_FIELDS[k]}" for k in retired)
             warnings.warn(
-                f"ignoring retired scenario fields ({reasons})",
+                f"{_RETIRED_FIELDS_WARNING} ({reasons})",
                 DeprecationWarning,
                 stacklevel=2,
             )

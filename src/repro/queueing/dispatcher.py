@@ -20,7 +20,7 @@ frontier crosses from mixed to ARM-only compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -390,29 +390,6 @@ class Figure10Reducer:
             points.sort(key=lambda p: p.response_s)
             result[u] = points
         return result
-
-
-def figure10_series_stream(
-    blocks: Iterable[SpaceBlock],
-    idle_power_a_w: Optional[float] = None,
-    idle_power_b_w: Optional[float] = None,
-    utilizations: Sequence[float] = (0.05, 0.25, 0.50),
-    window_s: float = 20.0,
-    service_scv: float = 0.0,
-    idle_powers_w: Optional[Sequence[float]] = None,
-) -> Dict[float, List[WindowPoint]]:
-    """One-shot sugar: stream ``blocks`` through a :class:`Figure10Reducer`."""
-    reducer = Figure10Reducer(
-        idle_power_a_w=idle_power_a_w,
-        idle_power_b_w=idle_power_b_w,
-        utilizations=utilizations,
-        window_s=window_s,
-        service_scv=service_scv,
-        idle_powers_w=idle_powers_w,
-    )
-    for block in blocks:
-        reducer.update(block)
-    return reducer.finish()
 
 
 def verify_points_against_simulation(

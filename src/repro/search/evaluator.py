@@ -2,17 +2,15 @@
 
 The exhaustive evaluator works on whole presence-mask blocks; search
 agents propose *arbitrary* row sets.  :func:`evaluate_candidate_rows`
-groups a candidate batch by presence pattern and pushes each pattern
-through the exact same per-element arithmetic as
-:func:`repro.core.evaluate._evaluate_mask_block` -- the same setting
-grids, the same 1-/2-/k-group matched-split dispatch
-(:func:`~repro.core.evaluate._vector_match` /
-:func:`~repro.core.evaluate._vector_match_groups`), the same
-:func:`~repro.core.evaluate._group_energy` terms.  Every operation is
-elementwise, so a configuration evaluates to bit-identical time/energy
-no matter which batch it arrives in -- which is what lets frontier
-recall be an exact ``(time, energy)`` set comparison against exhaustive
-ground truth, and lets the search driver deduplicate rows by value.
+maps each candidate's ``(cores, f)`` to its setting index, groups the
+batch by presence pattern, and hands each pattern's ``(n,
+setting_index)`` columns to the same row kernel an exhaustive block
+uses (:func:`repro.core.evaluate._evaluate_rows`).  Every operation in
+the kernel is elementwise, so a configuration evaluates to
+bit-identical time/energy no matter which batch it arrives in -- which
+is what lets frontier recall be an exact ``(time, energy)`` set
+comparison against exhaustive ground truth, and lets the search driver
+deduplicate rows by value.
 
 :func:`_eval_candidate_chunk` is the top-level picklable entry point the
 engine ships to process-pool and tcp_remote workers.
@@ -27,11 +25,10 @@ import numpy as np
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import (
     ConfigSpaceResult,
-    _group_energy,
+    _concat_results,
+    _evaluate_rows,
     _params_for,
     _setting_grid,
-    _vector_match,
-    _vector_match_groups,
 )
 from repro.core.params import NodeModelParams
 
@@ -108,70 +105,41 @@ def evaluate_candidate_rows(
                 ) from None
         s_idx[g, rows] = table[inverse]
 
-    times = np.zeros(b, dtype=float)
-    energies = np.zeros(b, dtype=float)
-    units_out = np.zeros((len(group_specs), b), dtype=float)
-    cores_out = np.where(
-        present_rows, cores, [[gs.spec.cores.count] for gs in group_specs]
-    )
-    f_out = np.where(
-        present_rows, f, [[gs.spec.cores.fmax_ghz] for gs in group_specs]
-    )
+    nodes = tuple(gs.spec.name for gs in group_specs)
+    if not b:
+        return ConfigSpaceResult(
+            nodes, n, cores, f, np.zeros(n.shape), np.zeros(0), np.zeros(0), units
+        )
 
-    # Group rows by presence pattern, packed as one bit per group; each
-    # pattern block goes through the same dispatch as one exhaustive
-    # mask block.
-    bits = np.arange(len(group_specs))[:, None]
-    packed = (present_rows.astype(np.int64) << bits).sum(axis=0)
-    codes, pattern_of = np.unique(packed, return_inverse=True)
-    for k, code in enumerate(codes.tolist()):
-        rows = np.flatnonzero(pattern_of == k)
-        present = [g for g in range(len(group_specs)) if code >> g & 1]
-        gammas = []
-        floors = []
-        for g in present:
-            n_g = n[g, rows].astype(float)
-            gammas.append(grids[g].slope_node[s_idx[g, rows]] / n_g)
-            floors.append(grids[g].floor_job_s / n_g)
-
-        if len(present) == 1:
-            time = np.maximum(gammas[0] * units, floors[0])
-            w = [np.full(time.shape, float(units))]
-        elif len(present) == 2:
-            w_a, time = _vector_match(
-                units, gammas[0], floors[0], gammas[1], floors[1]
+    # Sort rows by presence pattern, packed as one bit per group; each
+    # pattern's run of rows goes through the row kernel in one call, and
+    # the concatenated parts are scattered back to batch order.
+    packed = (present_rows.astype(np.int64) << np.arange(len(nodes))[:, None]).sum(axis=0)
+    order = np.argsort(packed, kind="stable")
+    parts = []
+    for rows in np.split(order, np.flatnonzero(np.diff(packed[order])) + 1):
+        present = [g for g in range(len(nodes)) if packed[rows[0]] >> g & 1]
+        parts.append(
+            _evaluate_rows(
+                group_specs,
+                grids,
+                present,
+                [n[g, rows] for g in present],
+                [s_idx[g, rows] for g in present],
+                units,
             )
-            w = [w_a, units - w_a]
-        else:
-            w_stack, time = _vector_match_groups(
-                units, np.stack(gammas), np.stack(floors)
-            )
-            w = list(w_stack)
-
-        energy = np.zeros(rows.size, dtype=float)
-        for p, g in enumerate(present):
-            energy += _group_energy(
-                n[g, rows],
-                w[p],
-                time,
-                grids[g].k_joules_per_unit[s_idx[g, rows]],
-                grids[g].io_slope_node,
-                grids[g].floor_job_s,
-                grids[g].p_idle_w,
-                grids[g].p_io_w,
-            )
-            units_out[g, rows] = w[p]
-        times[rows] = time
-        energies[rows] = energy
-
+        )
+    space = _concat_results(parts)
+    back = np.empty_like(order)
+    back[order] = np.arange(b)
     return ConfigSpaceResult(
-        nodes=tuple(gs.spec.name for gs in group_specs),
+        nodes=nodes,
         n=n,
-        cores=cores_out,
-        f=f_out,
-        units=units_out,
-        times_s=times,
-        energies_j=energies,
+        cores=space.cores[:, back],
+        f=space.f[:, back],
+        units=space.units[:, back],
+        times_s=space.times_s[back],
+        energies_j=space.energies_j[back],
         units_total=units,
     )
 

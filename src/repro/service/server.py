@@ -54,11 +54,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from repro.engine.scenario import Scenario, _strict_int
+from repro.engine.scenario import Scenario
 from repro.service.jobs import JobQueue, QueueFull, UnknownJob
 from repro.store import queries
 from repro.store.queries import QueryError
 from repro.store.store import ArtifactStore
+from repro.util.validate import strict_int
 
 #: Largest accepted POST body; a scenario declaration is a few KiB.
 MAX_BODY_BYTES = 1 << 20
@@ -366,7 +367,7 @@ class StoreQueryHandler(BaseHTTPRequestHandler):
         except (ValueError, TypeError) as exc:
             raise _BadRequest(f"invalid scenario: {exc}")
         try:
-            max_attempts = _strict_int(body.get("max_attempts", 3), "max_attempts")
+            max_attempts = strict_int(body.get("max_attempts", 3), "max_attempts")
         except ValueError as exc:
             raise _BadRequest(str(exc))
         if max_attempts < 1:

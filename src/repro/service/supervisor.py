@@ -51,9 +51,10 @@ from typing import Any, Dict, Optional
 from repro.engine.context import RunContext
 from repro.engine.resilience import RETRYABLE
 from repro.engine.runner import run_scenario
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import Scenario, show_retired_fields
 from repro.service.jobs import JobQueue
 from repro.store.store import ArtifactStore
+from repro.util.validate import positive_float, positive_float_arg
 
 __all__ = ["DrainAborted", "Supervisor", "job_checkpoint_dir"]
 
@@ -117,8 +118,8 @@ class Supervisor:
         self.store = store
         self.queue = JobQueue(store)
         self.worker_id = worker_id or f"supervisor-{uuid.uuid4().hex[:8]}"
-        self.lease_s = float(lease_s)
-        self.poll_s = float(poll_s)
+        self.lease_s = positive_float(lease_s, "lease_s")
+        self.poll_s = positive_float(poll_s, "poll_s")
         self.checkpoint_every = int(checkpoint_every)
         self.fault_plan = fault_plan
         self.on_event = on_event
@@ -434,8 +435,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--store-dir", type=Path, required=True)
     parser.add_argument("--worker-id", default=None)
-    parser.add_argument("--lease-s", type=float, default=30.0)
-    parser.add_argument("--poll-s", type=float, default=0.5)
+    parser.add_argument("--lease-s", type=positive_float_arg, default=30.0)
+    parser.add_argument("--poll-s", type=positive_float_arg, default=0.5)
     parser.add_argument("--checkpoint-every", type=int, default=1)
     parser.add_argument(
         "--until-idle",
@@ -462,6 +463,7 @@ def main(argv=None) -> int:
             print(f"[supervisor] {event}: {json.dumps(payload, default=str)}",
                   flush=True)
 
+    show_retired_fields("always")
     with ArtifactStore(args.store_dir) as store:
         supervisor = Supervisor(
             store,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 
 class Bottleneck(str, enum.Enum):
@@ -198,12 +198,3 @@ class WorkloadSpec:
             f"{self.name} [{self.domain}]: {self.default_job_units:g} "
             f"{self.unit_name}s/job, bottleneck={self.bottleneck.value}, on {nodes}"
         )
-
-
-def merged_profiles(**per_node: ISAProfile) -> Dict[str, ISAProfile]:
-    """Convenience: build a profiles mapping from keyword arguments.
-
-    Keyword names use underscores where node names use hyphens
-    (``arm_cortex_a9=...`` maps to ``"arm-cortex-a9"``).
-    """
-    return {key.replace("_", "-"): prof for key, prof in per_node.items()}

@@ -21,6 +21,7 @@ from repro.core.configuration import (
 )
 from repro.core.evaluate import evaluate_space, evaluate_space_groups
 from repro.core.streaming import solo_groups
+from repro.engine import executor
 from repro.engine.executor import evaluate_space_groups_chunked
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.hardware.extension import INTEL_ATOM
@@ -161,11 +162,17 @@ class TestThreeTypeEvaluation:
         np.testing.assert_array_equal(via_groups.energies_j, via_legacy.energies_j)
         np.testing.assert_array_equal(via_groups.n, via_legacy.n)
 
-    def test_chunked_three_type_bitwise_equal(self):
+    def test_chunked_three_type_bitwise_equal(self, monkeypatch):
         specs = three_groups()
         whole = evaluate_space_groups(specs, PARAMS, UNITS)
+        # A small budget splits the space; with the small-space shortcut
+        # off the blocks run through the chunked path.
+        monkeypatch.setattr(executor, "PARALLEL_THRESHOLD_ROWS", 0)
+        assert len(executor.space_block_plan(
+            specs, max_workers=1, memory_budget_mb=0.02
+        )) > 1
         chunked = evaluate_space_groups_chunked(
-            specs, PARAMS, UNITS, max_workers=1, n_chunks=3
+            specs, PARAMS, UNITS, max_workers=1, memory_budget_mb=0.02
         )
         np.testing.assert_array_equal(whole.times_s, chunked.times_s)
         np.testing.assert_array_equal(whole.energies_j, chunked.energies_j)

@@ -241,19 +241,29 @@ class TestSubmitContract:
         assert out == [(4, 16), (5, 25)]
 
     @pytest.mark.parametrize("name, options", MATRIX)
-    def test_chunked_space_bit_identical(self, name, options, ep, arm, amd):
+    def test_chunked_space_bit_identical(
+        self, name, options, ep, arm, amd, monkeypatch
+    ):
         from repro.core.calibration import ground_truth_params
+        from repro.engine import executor
 
         groups = (GroupSpec(arm, 4), GroupSpec(amd, 3))
         params = {
             spec.name: ground_truth_params(spec, ep) for spec in (arm, amd)
         }
+        # A small budget splits this small space, and with the
+        # small-space shortcut off the blocks go through the backend.
+        monkeypatch.setattr(executor, "PARALLEL_THRESHOLD_ROWS", 0)
+        assert len(executor.space_block_plan(
+            groups, memory_budget_mb=0.05,
+            backend=name, backend_options=options,
+        )) > 1
         ref = evaluate_space_groups(groups, params, 20e6)
         chunked = evaluate_space_groups_chunked(
             groups,
             params,
             20e6,
-            n_chunks=4,
+            memory_budget_mb=0.05,
             backend=name,
             backend_options=options,
         )

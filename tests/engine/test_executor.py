@@ -1,19 +1,19 @@
 """Executor: chunk decomposition, pooled execution, serial fallbacks."""
 
 import numpy as np
+import pytest
 
 from repro.core.calibration import ground_truth_params
-from repro.core.configuration import GroupSpec, presence_masks
+from repro.core.configuration import GroupSpec
 from repro.core.evaluate import evaluate_space
 from repro.core.streaming import count_space_rows, max_rows_for_budget
+from repro.engine import executor
 from repro.engine.executor import (
     MIN_ADAPTIVE_BLOCK_ROWS,
     OVERSUBSCRIPTION,
     PARALLEL_THRESHOLD_ROWS,
-    _chunk,
-    _estimate_rows,
     default_max_workers,
-    evaluate_space_chunked,
+    evaluate_space_groups_chunked,
     parallel_map,
     space_block_plan,
 )
@@ -29,24 +29,21 @@ def _double(x: float) -> float:  # top-level so process pools can pickle it
     return 2.0 * x
 
 
-class TestChunkHelper:
-    def test_preserves_order_and_content(self):
-        values = np.array([1, 2, 3, 4, 5])
-        parts = _chunk(values, 2)
-        np.testing.assert_array_equal(np.concatenate(parts), values)
-
-    def test_never_more_chunks_than_values(self):
-        assert len(_chunk(np.array([1, 2]), 10)) == 2
-
-    def test_at_least_one_chunk(self):
-        assert len(_chunk(np.array([7]), 0)) == 1
-
-
 class TestChunkedEvaluation:
-    def test_pooled_run_matches_whole_space(self):
+    @pytest.fixture
+    def small_spaces_chunk(self, monkeypatch):
+        """Turn off the small-space shortcut, so these small spaces run
+        the chunked path the memory budget plans."""
+        monkeypatch.setattr(executor, "PARALLEL_THRESHOLD_ROWS", 0)
+
+    def test_pooled_run_matches_whole_space(self, small_spaces_chunk):
+        specs = (GroupSpec(ARM_CORTEX_A9, 6), GroupSpec(AMD_K10, 4))
+        assert len(space_block_plan(
+            specs, max_workers=4, memory_budget_mb=0.05
+        )) > 1
         whole = evaluate_space(ARM_CORTEX_A9, 6, AMD_K10, 4, PARAMS, 1e6)
-        pooled = evaluate_space_chunked(
-            ARM_CORTEX_A9, 6, AMD_K10, 4, PARAMS, 1e6, max_workers=4, n_chunks=4
+        pooled = evaluate_space_groups_chunked(
+            specs, PARAMS, 1e6, max_workers=4, memory_budget_mb=0.05
         )
         np.testing.assert_array_equal(whole.times_s, pooled.times_s)
         np.testing.assert_array_equal(whole.energies_j, pooled.energies_j)
@@ -55,19 +52,21 @@ class TestChunkedEvaluation:
 
     def test_small_space_takes_direct_path(self):
         # The full paper space is ~36k rows, far below the pooling
-        # threshold: without an explicit chunk count the direct path runs.
-        group_specs = (GroupSpec(ARM_CORTEX_A9, 10), GroupSpec(AMD_K10, 10))
-        pos = [np.arange(1, 11), np.arange(1, 11)]
-        masks = list(presence_masks(group_specs))
-        assert _estimate_rows(group_specs, pos, masks) < PARALLEL_THRESHOLD_ROWS
-        result = evaluate_space_chunked(ARM_CORTEX_A9, 3, AMD_K10, 3, PARAMS, 1e6)
+        # threshold: the direct path runs whatever the budget.
+        paper = (GroupSpec(ARM_CORTEX_A9, 10), GroupSpec(AMD_K10, 10))
+        assert count_space_rows(paper) < PARALLEL_THRESHOLD_ROWS
+        specs = (GroupSpec(ARM_CORTEX_A9, 3), GroupSpec(AMD_K10, 3))
+        result = evaluate_space_groups_chunked(specs, PARAMS, 1e6)
         direct = evaluate_space(ARM_CORTEX_A9, 3, AMD_K10, 3, PARAMS, 1e6)
         np.testing.assert_array_equal(result.times_s, direct.times_s)
 
-    def test_single_type_space(self):
-        only_a = evaluate_space_chunked(
-            ARM_CORTEX_A9, 5, AMD_K10, 5, PARAMS, 1e6,
-            counts_b=[0], max_workers=1, n_chunks=3,
+    def test_single_type_space(self, small_spaces_chunk):
+        specs = (GroupSpec(ARM_CORTEX_A9, 5), GroupSpec(AMD_K10, 5, counts=[0]))
+        assert len(space_block_plan(
+            specs, max_workers=1, memory_budget_mb=0.01
+        )) > 1
+        only_a = evaluate_space_groups_chunked(
+            specs, PARAMS, 1e6, max_workers=1, memory_budget_mb=0.01
         )
         direct = evaluate_space(
             ARM_CORTEX_A9, 5, AMD_K10, 5, PARAMS, 1e6, counts_b=[0]

@@ -156,6 +156,17 @@ class TestPolicy:
         with pytest.raises(ValueError):
             ResiliencePolicy(jitter=2.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["task_timeout_s", "backoff_base_s", "backoff_factor", "backoff_max_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"])
+    def test_non_finite_seconds_rejected(self, field, value):
+        # NaN passes every ``<= 0`` guard: a NaN timeout once made each
+        # pooled task "exceed nan" on every attempt.
+        with pytest.raises(ValueError, match="finite number"):
+            ResiliencePolicy(**{field: value})
+
 
 class TestSerialRecovery:
     def test_crash_is_retried(self):

@@ -161,18 +161,20 @@ class TestMemoryAccounting:
 
 class TestExecutorIterator:
     def test_parallel_blocks_match_serial(self):
-        # Same explicit plan either way: the pool must hand the blocks
+        # Same two-worker plan either way: the pool must hand the blocks
         # back in deterministic plan order regardless of finish order.
         serial = list(
             iter_space_groups_chunked(
-                GROUPS, PARAMS, UNITS, max_workers=1, n_chunks=7
+                GROUPS, PARAMS, UNITS, max_workers=2, memory_budget_mb=0.02,
+                backend="serial",
             )
         )
         parallel = list(
             iter_space_groups_chunked(
-                GROUPS, PARAMS, UNITS, max_workers=2, n_chunks=7
+                GROUPS, PARAMS, UNITS, max_workers=2, memory_budget_mb=0.02
             )
         )
+        assert len(serial) > 1
         assert [b.index for b in serial] == [b.index for b in parallel]
         assert [b.start_row for b in serial] == [b.start_row for b in parallel]
         for left, right in zip(serial, parallel):

@@ -1,20 +1,24 @@
 """Chunked space evaluation must be invisible: bit-identical, same order.
 
 The engine's executor splits a configuration space into node-count
-blocks, evaluates them independently, and reassembles with
-``_concat_results``.  These properties pin the decomposition against the
-whole-space evaluation -- every array equal, row for row -- and check
-that ``ConfigSpaceResult.subset`` keeps ``config(i)``/``point(i)``
-consistent with the parent space.
+blocks sized by the memory budget, evaluates them independently, and
+reassembles with ``_concat_results``.  These properties pin the
+decomposition against the whole-space evaluation -- every array equal,
+row for row -- and check that ``ConfigSpaceResult.subset`` keeps
+``config(i)``/``point(i)`` consistent with the parent space.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.calibration import ground_truth_params
+from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult, _concat_results, evaluate_space
-from repro.engine.executor import evaluate_space_chunked
+from repro.core.streaming import block_row_bytes
+from repro.engine import executor
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.workloads.suite import EP
 
@@ -36,28 +40,43 @@ def assert_spaces_equal(left: ConfigSpaceResult, right: ConfigSpaceResult) -> No
         )
 
 
+def chunked(specs, block_rows: int) -> ConfigSpaceResult:
+    """The executor's chunked path in blocks of about ``block_rows`` rows.
+
+    The memory budget is the only block-size input, so it is derived
+    from the row target; the small-space shortcut is turned off so these
+    small spaces take the chunked path, which must plan several blocks.
+    """
+    budget_mb = block_rows * block_row_bytes(len(specs)) / 2**20
+    plan = executor.space_block_plan(
+        specs, max_workers=1, memory_budget_mb=budget_mb
+    )
+    assume(len(plan) > 1)
+    with mock.patch.object(executor, "PARALLEL_THRESHOLD_ROWS", 0):
+        return executor.evaluate_space_groups_chunked(
+            specs, PARAMS, UNITS, max_workers=1, memory_budget_mb=budget_mb
+        )
+
+
 class TestChunkedEqualsWhole:
     @given(
         max_a=st.integers(1, 6),
         max_b=st.integers(1, 5),
-        n_chunks=st.integers(1, 8),
+        block_rows=st.integers(1, 400),
     )
     @settings(max_examples=30, deadline=None)
-    def test_chunked_matches_whole_space(self, max_a, max_b, n_chunks):
+    def test_chunked_matches_whole_space(self, max_a, max_b, block_rows):
         whole = evaluate_space(ARM_CORTEX_A9, max_a, AMD_K10, max_b, PARAMS, UNITS)
-        chunked = evaluate_space_chunked(
-            ARM_CORTEX_A9, max_a, AMD_K10, max_b, PARAMS, UNITS,
-            max_workers=1, n_chunks=n_chunks,
-        )
-        assert_spaces_equal(whole, chunked)
+        specs = (GroupSpec(ARM_CORTEX_A9, max_a), GroupSpec(AMD_K10, max_b))
+        assert_spaces_equal(whole, chunked(specs, block_rows))
 
     @given(
         counts_a=st.sets(st.integers(0, 6), min_size=1, max_size=4),
         counts_b=st.sets(st.integers(0, 5), min_size=1, max_size=4),
-        n_chunks=st.integers(2, 4),
+        block_rows=st.integers(1, 200),
     )
     @settings(max_examples=30, deadline=None)
-    def test_chunked_matches_on_pinned_counts(self, counts_a, counts_b, n_chunks):
+    def test_chunked_matches_on_pinned_counts(self, counts_a, counts_b, block_rows):
         counts_a, counts_b = sorted(counts_a), sorted(counts_b)
         if counts_a == [0] and counts_b == [0]:
             return  # empty space: both paths raise
@@ -65,12 +84,11 @@ class TestChunkedEqualsWhole:
             ARM_CORTEX_A9, 6, AMD_K10, 5, PARAMS, UNITS,
             counts_a=counts_a, counts_b=counts_b,
         )
-        chunked = evaluate_space_chunked(
-            ARM_CORTEX_A9, 6, AMD_K10, 5, PARAMS, UNITS,
-            counts_a=counts_a, counts_b=counts_b,
-            max_workers=1, n_chunks=n_chunks,
+        specs = (
+            GroupSpec(ARM_CORTEX_A9, 6, counts=counts_a),
+            GroupSpec(AMD_K10, 5, counts=counts_b),
         )
-        assert_spaces_equal(whole, chunked)
+        assert_spaces_equal(whole, chunked(specs, block_rows))
 
     @given(max_a=st.integers(2, 6), max_b=st.integers(1, 4))
     @settings(max_examples=15, deadline=None)

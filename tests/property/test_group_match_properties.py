@@ -10,7 +10,7 @@ Three anchors keep the group-table refactor honest:
   :func:`repro.core.evaluate._vector_match`;
 * the refactored :func:`repro.core.evaluate.evaluate_space` is
   **bit-for-bit** identical to the frozen pre-refactor snapshot in
-  :mod:`repro.core._evaluate_pair` on random model parameters, both
+  ``tests/property/_evaluate_pair.py`` on random model parameters, both
   without floors (EP-like) and with arrival floors (memcached-like).
 """
 
@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._evaluate_pair import evaluate_space_pair
 from repro.core.evaluate import _vector_match, _vector_match_groups, evaluate_space
 from repro.core.multiway import match_multiway
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 
+from tests.property._evaluate_pair import evaluate_space_pair
 from tests.property.strategies import (
     AMD_PSTATES,
     ARM_PSTATES,

@@ -353,6 +353,16 @@ class TestRecovery:
 
 
 class TestLoopResilience:
+    @pytest.mark.parametrize("field", ["lease_s", "poll_s"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0, -1.0, True]
+    )
+    def test_lease_and_poll_must_be_finite_and_positive(
+        self, store, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            Supervisor(store, worker_id="w", **{field: value})
+
     def test_transient_store_errors_do_not_kill_the_loop(
         self, store, queue, monkeypatch
     ):

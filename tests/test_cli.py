@@ -1,8 +1,32 @@
 """Command-line interface."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+#: A scenario file written by an earlier release: it carries the retired
+#: ``chunk_rows``, ``reduce_at`` and ``simulation`` fields.
+PARENT_SCENARIO = Path(__file__).parent / "engine" / "data" / "parent_scenario.json"
+
+
+def _repro_process(*args, **popen):
+    """``python -m repro <args>`` in a child process, this tree's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        **popen,
+    )
 
 
 class TestArtifacts:
@@ -246,3 +270,65 @@ class TestStoreFlags:
     def test_serve_requires_store_dir(self, capsys):
         assert main(["serve"]) == 2
         assert "--store-dir" in capsys.readouterr().err
+
+
+class TestRetiredFieldsReachUsers:
+    """Python hides a library's DeprecationWarning outside ``__main__``;
+    the CLI and ``repro serve`` must still say which fields they drop."""
+
+    def test_scenario_file_names_retired_fields_once(self):
+        proc = _repro_process(
+            "scenario", "--file", str(PARENT_SCENARIO), "--explain"
+        )
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert err.count("chunk_rows") == 1
+        assert "the memory budget alone sizes streaming blocks" in err
+        assert "reduce_at" in err and "simulation" in err
+
+    def test_serve_logs_retired_fields_of_a_posted_run(self, tmp_path):
+        proc = _repro_process(
+            "serve", "--store-dir", str(tmp_path / "store"),
+            "--port", "0", "--runners", "0",
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.split("http://")[1].split(":")[1].split()[0])
+            spec = json.loads(PARENT_SCENARIO.read_text())
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/runs",
+                data=json.dumps({"scenario": spec}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 202
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        assert "chunk_rows" in err
+        assert "the memory budget alone sizes streaming blocks" in err
+
+
+class TestRuntimeNumbers:
+    """Seconds and sizes must be finite and above zero; a bad value is a
+    usage error (exit code 2), not a traceback or a doomed run."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--task-timeout-s", "--lease-s", "--memory-budget-mb"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_values_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite number above zero" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--task-timeout-s", "--lease-s", "--memory-budget-mb"]
+    )
+    def test_positive_values_parse(self, flag, capsys):
+        # A good value gets past parsing to the command's own check.
+        assert main(["scenario", flag, "1.5"]) == 2
+        assert "scenario requires --file" in capsys.readouterr().err
