@@ -55,7 +55,6 @@ def main() -> int:
             workload="ep",
             node_types=node_types,
             stages=("frontier",),
-            space_mode="streaming",
         ),
         ctx,
     )

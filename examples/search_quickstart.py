@@ -51,7 +51,6 @@ def main() -> None:
             workload="ep",
             node_types=node_types,
             stages=("frontier",),
-            space_mode="streaming",
             name="four-type exhaustive",
         ),
         ctx,

@@ -317,15 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(queued|leased|running|done|failed|cancelled)",
     )
     parser.add_argument(
-        "--space-mode",
-        choices=["materialized", "streaming"],
-        default=None,
-        help="configuration-space pipeline: 'materialized' evaluates the "
-        "whole space in RAM; 'streaming' folds memory-bounded blocks "
-        "through online reducers (bit-identical frontiers/regions/"
-        "queueing, no point cloud)",
-    )
-    parser.add_argument(
         "--memory-budget-mb",
         type=positive_float_arg,
         default=None,
@@ -336,15 +327,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--spill-dir",
         type=Path,
         default=None,
-        help="with --space-mode streaming, also spill the full space to "
-        "memory-mapped .npy columns in this directory (scenario only)",
+        help="also spill the streamed space to memory-mapped .npy columns "
+        "in this directory, and write all of it with --csv (scenario only)",
     )
     parser.add_argument(
         "--checkpoint-dir",
         type=Path,
         default=None,
-        help="with --space-mode streaming, periodically checkpoint "
-        "reducer state here so an interrupted run can be resumed "
+        help="periodically checkpoint the streamed space's reducer (or "
+        "search) state here so an interrupted run can be resumed "
         "(scenario only; incompatible with --spill-dir)",
     )
     parser.add_argument(
@@ -469,8 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
-    space_mode = args.space_mode or "materialized"
-
     backend = args.backend
     backend_options = {}
     for entry in args.backend_option or ():
@@ -591,12 +580,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             workload,
             seed=args.seed,
             ctx=ctx,
-            space_mode=space_mode,
-            memory_budget_mb=args.memory_budget_mb,
         )
         table = Table(["quantity", "value"], title=f"Fig {args.artifact[-1]}: {workload.name}")
-        n_configs = len(fig.space) if fig.space is not None else fig.reduced.total_rows
-        table.add_row(["configurations", n_configs])
+        table.add_row(["configurations", len(fig.space)])
         table.add_row(["frontier points", len(fig.frontier)])
         table.add_row(
             ["fastest deadline [ms]", f"{seconds_to_ms(fig.frontier.fastest_time_s):.1f}"]
@@ -613,27 +599,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(file=out)
             print(plot_pareto_figure(fig), file=out)
         csv_headers = ["time_ms", "energy_j", "n_arm", "n_amd"]
-        if fig.space is not None:
-            csv_rows = [
-                [
-                    seconds_to_ms(fig.space.times_s[i]),
-                    fig.space.energies_j[i],
-                    int(fig.space.n_a[i]),
-                    int(fig.space.n_b[i]),
-                ]
-                for i in range(len(fig.space))
+        csv_rows = [
+            [
+                seconds_to_ms(fig.space.times_s[i]),
+                fig.space.energies_j[i],
+                int(fig.space.n_a[i]),
+                int(fig.space.n_b[i]),
             ]
-        else:
-            # Streaming keeps no point cloud; export the frontier rows.
-            csv_rows = [
-                [
-                    seconds_to_ms(fig.frontier.times_s[i]),
-                    fig.frontier.energies_j[i],
-                    int(fig.reduced.frontier_n[0, i]),
-                    int(fig.reduced.frontier_n[1, i]),
-                ]
-                for i in range(len(fig.frontier))
-            ]
+            for i in range(len(fig.space))
+        ]
     elif args.artifact in ("fig6", "fig7"):
         workload = workload_by_name(args.workload) if args.workload else (
             MEMCACHED if args.artifact == "fig6" else EP
@@ -680,7 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workload,
             seed=args.seed,
             ctx=ctx,
-            space_mode=space_mode,
             memory_budget_mb=args.memory_budget_mb,
         )
         table = Table(
@@ -727,8 +700,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("scenario requires --file <scenario.json>", file=sys.stderr)
             return 2
         scenario = Scenario.from_file(args.file)
-        if args.space_mode is not None:
-            scenario = scenario.with_(space_mode=args.space_mode)
         if args.memory_budget_mb is not None:
             scenario = scenario.with_(memory_budget_mb=args.memory_budget_mb)
         if args.search is not None or args.search_budget is not None:
@@ -789,7 +760,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             title=f"Scenario: {scenario.name or scenario.workload} ({mix})",
         )
         table.add_row(["stages", ", ".join(scenario.stages)])
-        table.add_row(["space mode", scenario.space_mode])
         table.add_row(["configurations", f"{result.num_configurations:,}"])
         if result.search is not None:
             table.add_row(["search strategy", result.search.strategy])
@@ -855,8 +825,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.trajectory_out is not None:
                 trajectory.to_json(args.trajectory_out)
                 print(f"wrote {args.trajectory_out}", file=out)
-        space = result.space
-        if space is not None:
+        if args.spill_dir is not None:
+            # The spill kept the whole cloud: export every row.
+            space = result.space
             csv_headers = ["time_ms", "energy_j"] + [
                 f"n_{chr(ord('a') + g)}" for g in range(space.num_groups)
             ]
@@ -865,9 +836,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 + [int(space.n[g, i]) for g in range(space.num_groups)]
                 for i in range(len(space))
             ]
-        elif result.reduced is not None and result.reduced.frontier is not None:
-            # Streaming without spill: the cloud was never held; export
-            # the reduced artifact (frontier rows with node counts).
+        elif result.reduced.frontier is not None:
+            # The cloud was never held: export the frontier rows with
+            # their node counts.
             reduced = result.reduced
             frontier = reduced.frontier
             csv_headers = ["time_ms", "energy_j"] + [
@@ -892,7 +863,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         units = workload.problem_sizes.get("analysis", workload.default_job_units)
         summary = reduction_summary(
             _ARM_NODE, 10, _AMD_NODE, 10, suite_params(workload), units,
-            space_mode=space_mode, memory_budget_mb=args.memory_budget_mb,
+            memory_budget_mb=args.memory_budget_mb,
         )
         table = Table(
             ["quantity", "value"],

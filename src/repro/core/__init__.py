@@ -13,9 +13,10 @@ Pipeline (Fig. 1 of the paper):
    types so all nodes finish simultaneously (Eq. 1).
 4. **Enumerate** (:mod:`repro.core.configuration`,
    :mod:`repro.core.evaluate`): the full configuration space (36,380
-   points for 10 ARM x 10 AMD), evaluated vectorized -- either
-   materialized whole or streamed as memory-bounded blocks through the
-   incremental reducers of :mod:`repro.core.streaming`.
+   points for 10 ARM x 10 AMD), evaluated vectorized -- streamed as
+   memory-bounded blocks through the incremental reducers of
+   :mod:`repro.core.streaming`, or materialized whole where a caller
+   needs every row.
 5. **Select** (:mod:`repro.core.pareto`, :mod:`repro.core.regions`):
    the energy-deadline Pareto frontier, its heterogeneous "sweet region"
    and homogeneous "overlap region".

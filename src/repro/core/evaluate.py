@@ -301,7 +301,7 @@ class ConfigSpaceResult:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the column stacks (what streaming mode avoids)."""
+        """Bytes held by the column stacks (what streaming avoids)."""
         return int(
             self.n.nbytes
             + self.cores.nbytes

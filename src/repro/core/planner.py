@@ -256,29 +256,21 @@ def plan_candidates(
     max_high: int = 16,
     window_s: float = 20.0,
     use_reduction: bool = True,
-    space_mode: str = "materialized",
     memory_budget_mb: Optional[float] = None,
 ) -> List[Plan]:
     """The ``k`` cheapest feasible plans, best first (possibly fewer).
 
     The top-k generalization of :func:`plan_cluster`, with a total
     deterministic order -- candidates rank by
-    ``(window_energy, service, row)`` -- so the result is bit-identical
-    between ``space_mode="materialized"`` (evaluate, then select) and
-    ``space_mode="streaming"`` (fold blocks through a
-    :class:`~repro.core.streaming.TopKReducer` under the
-    ``memory_budget_mb`` cap, never materializing the space).
+    ``(window_energy, service, row)`` -- so folding the space's blocks
+    through a :class:`~repro.core.streaming.TopKReducer` under the
+    ``memory_budget_mb`` cap, never materializing the space, selects
+    bit for bit what ranking the whole space would.
     """
     if units <= 0:
         raise ValueError("job must contain positive work")
     if max_low < 0 or max_high < 0 or (max_low == 0 and max_high == 0):
         raise ValueError("need some nodes to plan with")
-    if space_mode not in ("materialized", "streaming"):
-        raise ValueError(
-            f"space_mode must be 'materialized' or 'streaming', got "
-            f"{space_mode!r}"
-        )
-
     if budget_w is not None:
         max_low = min(max_low, max_nodes_within_budget(spec_low, budget_w, switch))
         max_high = min(max_high, max_nodes_within_budget(spec_high, budget_w))
@@ -293,28 +285,17 @@ def plan_candidates(
         settings_high = list(undominated_settings(spec_high, params[spec_high.name]).kept)
 
     topk: TopKReducer = TopKReducer(k)
-    if space_mode == "streaming":
-        group_specs = (
-            GroupSpec(spec_low, max_low, settings=settings_low),
-            GroupSpec(spec_high, max_high, settings=settings_high),
-        )
-        for block in iter_space_blocks(
-            group_specs, params, units, memory_budget_mb=memory_budget_mb
-        ):
-            topk.update(
-                _candidate_items(
-                    block.data, block.start_row, spec_low, spec_high,
-                    slo, budget_w, switch, window_s,
-                )
-            )
-    else:
-        space = evaluate_space(
-            spec_low, max_low, spec_high, max_high, params, units,
-            settings_a=settings_low, settings_b=settings_high,
-        )
+    group_specs = (
+        GroupSpec(spec_low, max_low, settings=settings_low),
+        GroupSpec(spec_high, max_high, settings=settings_high),
+    )
+    for block in iter_space_blocks(
+        group_specs, params, units, memory_budget_mb=memory_budget_mb
+    ):
         topk.update(
             _candidate_items(
-                space, 0, spec_low, spec_high, slo, budget_w, switch, window_s
+                block.data, block.start_row, spec_low, spec_high,
+                slo, budget_w, switch, window_s,
             )
         )
     return [plan for _, plan in topk.finish()]

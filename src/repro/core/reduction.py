@@ -157,36 +157,24 @@ def reduction_summary(
     max_b: int,
     params: Mapping[str, NodeModelParams],
     units: float,
-    space_mode: str = "materialized",
     memory_budget_mb: Optional[float] = None,
 ) -> dict:
     """Sizes plus the per-space exactness certificate (needs a full pass).
 
-    ``space_mode="streaming"`` runs the certificate's full-space pass
-    through the online frontier under ``memory_budget_mb`` -- the one
-    place the summary ever touched the unreduced space -- so certifying
-    a reduction no longer costs a full-space allocation.  The verdict is
-    bit-identical to the materialized certificate.
+    The certificate's full-space pass streams through the online
+    frontier under ``memory_budget_mb``, so certifying a reduction costs
+    no full-space allocation; the frontier is bit-identical to the
+    whole space's.
     """
-    if space_mode not in ("materialized", "streaming"):
-        raise ValueError(
-            f"space_mode must be 'materialized' or 'streaming', got "
-            f"{space_mode!r}"
-        )
     reduced, report_a, report_b = reduced_space(
         spec_a, max_a, spec_b, max_b, params, units
     )
     f_reduced = ParetoFrontier.from_points(reduced.times_s, reduced.energies_j)
-    if space_mode == "streaming":
-        group_specs = (GroupSpec(spec_a, max_a), GroupSpec(spec_b, max_b))
-        full_size = count_space_rows(group_specs)
-        f_full = streaming_frontier(
-            group_specs, params, units, memory_budget_mb=memory_budget_mb
-        )
-    else:
-        full = evaluate_space(spec_a, max_a, spec_b, max_b, params, units)
-        full_size = len(full)
-        f_full = ParetoFrontier.from_points(full.times_s, full.energies_j)
+    group_specs = (GroupSpec(spec_a, max_a), GroupSpec(spec_b, max_b))
+    full_size = count_space_rows(group_specs)
+    f_full = streaming_frontier(
+        group_specs, params, units, memory_budget_mb=memory_budget_mb
+    )
     return {
         "full_size": full_size,
         "reduced_size": len(reduced),

@@ -182,30 +182,6 @@ def regions_from_composition(
     )
 
 
-def analyze_regions_reduced(
-    reduced, low_power_side: str = "a"
-) -> RegionReport:
-    """Region decomposition of a streamed
-    :class:`~repro.core.streaming.ReducedSpace`.
-
-    Duck-typed on the reduced artifact's ``frontier``/``composition``/
-    ``num_groups`` so this module needs no import of the streaming
-    layer; the labels were computed block-by-block during the reduction
-    pass and match :func:`analyze_regions`'s exactly.
-    """
-    if reduced.frontier is None or reduced.composition is None:
-        raise ValueError(
-            "reduced space carries no frontier/composition; run the "
-            "reduction with composition=True"
-        )
-    return regions_from_composition(
-        reduced.frontier,
-        tuple(reduced.composition),
-        reduced.num_groups,
-        low_power_side,
-    )
-
-
 def _group_letter(g: int) -> str:
     """The composition letter of group ``g`` ("a" for 0, "b" for 1, ...)."""
     return chr(ord("a") + g)

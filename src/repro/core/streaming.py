@@ -451,7 +451,7 @@ def solo_groups(n: np.ndarray) -> np.ndarray:
 class ReducedSpace:
     """The streamed pipeline's compact artifact: reductions, not rows.
 
-    This is what the engine caches in streaming mode -- everything the
+    This is what the engine's space stage caches -- everything the
     frontier, regions, reporting, and queueing stages need, at
     frontier-size instead of space-size.  ``frontier.indices`` (and the
     per-group frontiers' indices into their homogeneous subsets) are

@@ -20,7 +20,6 @@ from typing import Callable, Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.configuration import GroupSpec
-from repro.core.evaluate import evaluate_space
 from repro.core.params import NodeModelParams
 from repro.core.pareto import ParetoFrontier
 from repro.core.streaming import streaming_frontier
@@ -142,7 +141,6 @@ def what_if(
     change: WhatIf,
     label: str = "what-if",
     deadline_points: int = 40,
-    space_mode: str = "materialized",
     memory_budget_mb: Optional[float] = None,
 ) -> WhatIfReport:
     """Evaluate a hardware change's effect on the Pareto frontier.
@@ -153,45 +151,26 @@ def what_if(
         Name of the node type the change applies to.
     change:
         The transformation (one of the factories above, or any callable).
-    space_mode:
-        ``"materialized"`` evaluates both spaces in RAM;
-        ``"streaming"`` folds each through the online frontier under
-        ``memory_budget_mb``.  The frontiers -- and hence the report --
-        are bit-identical either way.
+    memory_budget_mb:
+        Both spaces fold through the online frontier under this block
+        budget; the frontiers are bit-identical to those of the whole
+        spaces.
     """
     if change_node not in params:
         raise ValueError(
             f"no model parameters for node type {change_node!r}; "
             f"available: {sorted(params)}"
         )
-    if space_mode not in ("materialized", "streaming"):
-        raise ValueError(
-            f"space_mode must be 'materialized' or 'streaming', got "
-            f"{space_mode!r}"
-        )
     modified_params: Dict[str, NodeModelParams] = dict(params)
     modified_params[change_node] = change(params[change_node])
 
-    if space_mode == "streaming":
-        group_specs = (GroupSpec(spec_a, max_a), GroupSpec(spec_b, max_b))
-        baseline = streaming_frontier(
-            group_specs, params, units, memory_budget_mb=memory_budget_mb
-        )
-        modified = streaming_frontier(
-            group_specs, modified_params, units,
-            memory_budget_mb=memory_budget_mb,
-        )
-    else:
-        base_space = evaluate_space(spec_a, max_a, spec_b, max_b, params, units)
-        baseline = ParetoFrontier.from_points(
-            base_space.times_s, base_space.energies_j
-        )
-        mod_space = evaluate_space(
-            spec_a, max_a, spec_b, max_b, modified_params, units
-        )
-        modified = ParetoFrontier.from_points(
-            mod_space.times_s, mod_space.energies_j
-        )
+    group_specs = (GroupSpec(spec_a, max_a), GroupSpec(spec_b, max_b))
+    baseline = streaming_frontier(
+        group_specs, params, units, memory_budget_mb=memory_budget_mb
+    )
+    modified = streaming_frontier(
+        group_specs, modified_params, units, memory_budget_mb=memory_budget_mb
+    )
 
     min_energy_change = modified.min_energy_j / baseline.min_energy_j - 1.0
     fastest_change = modified.fastest_time_s / baseline.fastest_time_s - 1.0

@@ -210,12 +210,6 @@ class RunContext:
             return self._extra_workloads[name]
         return _suite.workload_by_name(name)
 
-    # ---- RNG discipline ------------------------------------------------
-
-    def rng_stream(self, seed: Optional[SeedLike] = None) -> RngStream:
-        """The reproducible stream tree rooted at ``seed`` (context default)."""
-        return RngStream(self.seed if seed is None else seed)
-
     # ---- backend selection ---------------------------------------------
 
     def _backend_args(
@@ -340,7 +334,7 @@ class RunContext:
         params: Mapping[str, NodeModelParams],
         units: float,
     ) -> Tuple:
-        """Content key of one space evaluation (shared by both modes)."""
+        """Content key of one space evaluation, whole or streamed."""
         return (
             tuple(
                 (gs.spec, int(gs.max_nodes), gs.counts, gs.settings)

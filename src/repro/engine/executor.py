@@ -12,7 +12,7 @@ Two fan-out shapes cover the engine's needs:
 * :func:`iter_space_groups_chunked` is the streaming twin: it yields the
   same blocks *as workers complete them*, re-ordered deterministically,
   so reducers can consume the space while later blocks are still being
-  evaluated -- the engine's ``space_mode="streaming"`` block source.
+  evaluated -- the block source of every exhaustive scenario run.
   Each block task either ships its columns as a
   :class:`~repro.core.streaming.SpaceBlock` or folds them in place and
   ships the frontier-sized :class:`~repro.core.streaming.BlockReduction`.
@@ -150,6 +150,27 @@ def _plan_tasks(
     )
 
 
+def _stream_backend(
+    group_specs: Tuple[GroupSpec, ...],
+    max_workers: Optional[int],
+    backend: Optional[Any],
+    backend_options: Optional[Mapping[str, Any]],
+) -> Tuple[ExecutionBackend, int]:
+    """The backend and worker count a streamed space runs on.
+
+    A space below :data:`PARALLEL_THRESHOLD_ROWS` rows runs in-process
+    on one worker unless the caller names a worker count or a backend:
+    the fork + pickle toll would outweigh the win.
+    """
+    if (
+        backend is None and backend_options is None and max_workers is None
+        and count_space_rows(group_specs) < PARALLEL_THRESHOLD_ROWS
+    ):
+        backend = "serial"
+    be = resolve_backend(backend, backend_options, max_workers=max_workers)
+    return be, _plan_workers(max_workers, be)
+
+
 def space_block_plan(
     group_specs: Sequence[GroupSpec],
     max_workers: Optional[int] = None,
@@ -160,13 +181,14 @@ def space_block_plan(
     """The exact block plan :func:`iter_space_groups_chunked` will stream.
 
     Exposed so checkpointing can fingerprint the decomposition (block
-    boundaries depend on the worker count -- explicit or the resolved
-    backend's parallelism -- and the memory budget) before a single
-    block is evaluated.
+    boundaries depend on the worker count -- explicit, the resolved
+    backend's parallelism, or one for a small space with neither named
+    -- and the memory budget) before a single block is evaluated.
     """
     group_specs = tuple(group_specs)
-    be = resolve_backend(backend, backend_options, max_workers=max_workers)
-    workers = _plan_workers(max_workers, be)
+    _, workers = _stream_backend(
+        group_specs, max_workers, backend, backend_options
+    )
     window = workers + 1
     return _plan_tasks(
         group_specs, workers, memory_budget_mb,
@@ -267,8 +289,9 @@ def iter_space_groups_chunked(
         raise ValueError("job must contain positive work")
     if not group_specs:
         raise ValueError("need at least one node-type group")
-    be = resolve_backend(backend, backend_options, max_workers=max_workers)
-    window = _plan_workers(max_workers, be) + 1
+    be, workers = _stream_backend(
+        group_specs, max_workers, backend, backend_options
+    )
     tasks = space_block_plan(group_specs, max_workers, memory_budget_mb, backend=be)
     if not tasks:
         # Let the reference path raise its own error message.
@@ -282,7 +305,7 @@ def iter_space_groups_chunked(
     for idx, result in be.submit_blocks(
         run_block,
         [(job.job_id, i) for i in range(len(tasks))],
-        window=window,
+        window=workers + 1,
         policy=policy,
         injector=injector,
         emit=emit,

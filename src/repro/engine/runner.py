@@ -21,8 +21,9 @@ stages downstream of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.configuration import GroupSpec  # noqa: F401  (re-export compat)
 from repro.core.evaluate import ConfigSpaceResult
@@ -39,10 +40,9 @@ from repro.engine.stagegraph import (
     StagePlan,
     build_stage_plan,
     frontier_artifact_from_reduced,
-    frontier_artifact_from_space,
     run_plan,
 )
-from repro.queueing.dispatcher import WindowPoint, figure10_series
+from repro.queueing.dispatcher import WindowPoint
 from repro.search.driver import SearchedSpace
 
 
@@ -62,11 +62,7 @@ class ScenarioResult:
 
     scenario: Scenario
     params: Dict[str, NodeModelParams]
-    #: The materialized column stacks; ``None`` in streaming mode unless
-    #: a spill directory retained the full space (then memmap-backed).
-    space: Optional[ConfigSpaceResult]
-    #: The streamed pipeline's compact artifact; ``None`` in
-    #: materialized mode.
+    #: The streamed space stage's compact artifact.
     reduced: Optional[ReducedSpace] = None
     frontier: Optional[ParetoFrontier] = None
     group_frontiers: Optional[Tuple[Optional[ParetoFrontier], ...]] = None
@@ -84,6 +80,27 @@ class ScenarioResult:
     stage_cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Per-stage execution statuses (``"stored"`` / ``"computed"``).
     stage_statuses: Dict[str, str] = field(default_factory=dict)
+    #: Produces :attr:`space` on its first read; ``None`` on searched runs.
+    space_source: Optional[Callable[[], ConfigSpaceResult]] = field(
+        default=None, repr=False, compare=False
+    )
+    _space: Optional[ConfigSpaceResult] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def space(self) -> Optional[ConfigSpaceResult]:
+        """The whole configuration space of an exhaustive run.
+
+        Memmap-backed when ``spill_dir`` kept the streamed blocks;
+        otherwise evaluated on first read through the run's context, so
+        only a caller that needs every row pays for them.  ``None`` on
+        searched runs, which never visit the whole space.
+        """
+        if self._space is None and self.space_source is not None:
+            self._space = self.space_source()
+            self.space_source = None
+        return self._space
 
     def min_energy_for_deadline(self, deadline_s: float) -> Optional[float]:
         """Frontier lookup sugar (requires the ``frontier`` stage)."""
@@ -93,9 +110,7 @@ class ScenarioResult:
 
     @property
     def num_configurations(self) -> int:
-        """Rows in the evaluated space, whichever mode produced it."""
-        if self.space is not None:
-            return len(self.space)
+        """Rows in the evaluated space (never builds :attr:`space`)."""
         assert self.reduced is not None
         return self.reduced.total_rows
 
@@ -105,7 +120,6 @@ class ScenarioResult:
             "workload": self.scenario.workload,
             "node_types": [g.node for g in self.scenario.groups],
             "configurations": self.num_configurations,
-            "space_mode": self.scenario.space_mode,
             "timings_s": dict(self.timings_s),
             "cache_per_stage": {
                 stage: dict(counters)
@@ -141,12 +155,14 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run ``scenario`` through ``ctx`` (the shared default when omitted).
 
-    ``spill_dir`` only matters in streaming mode: when set, the streamed
-    blocks are additionally spilled to memory-mapped ``.npy`` columns
-    there, and ``result.space`` comes back memmap-backed -- full-space
-    reporting without a full-space allocation.
+    An exhaustive space stage streams memory-bounded blocks through the
+    reducers; ``result.space`` is built only when a caller reads it.
+    ``spill_dir`` additionally spills the streamed blocks to
+    memory-mapped ``.npy`` columns there, and ``result.space`` comes
+    back memmap-backed -- full-space reporting without a full-space
+    allocation.
 
-    ``checkpoint_dir`` (streaming mode only) persists reducer state
+    ``checkpoint_dir`` persists reducer (or search loop) state
     every ``checkpoint_every`` blocks under a file named by the
     scenario's cache identity; ``resume=True`` restores a valid
     checkpoint and re-evaluates only the unfinished blocks, producing
@@ -189,12 +205,6 @@ def run_scenario(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     if checkpoint_dir is not None:
-        if scenario.space_mode != "streaming" and not searching:
-            raise ValueError(
-                "checkpointing requires space_mode='streaming' (the "
-                "materialized path has no incremental state to save) "
-                "or an active search (whose loop state is snapshotted)"
-            )
         fingerprint = stable_hash(
             ("scenario-checkpoint", scenario.cache_identity())
         )
@@ -215,12 +225,11 @@ def run_scenario(
     ctx.emit("scenario.start", scenario=scenario.cache_identity())
 
     plan = build_stage_plan(scenario, ctx)
-    streaming = scenario.space_mode == "streaming"
-    # Side-effect observers (spill, checkpoint) must see the real block
-    # stream, so the space stage bypasses store *reads* on those runs;
-    # its artifact is still persisted for later runs.
-    bypass = ("space",) if (spill_dir is not None or checkpoint is not None) else ()
-    spill_box: Dict[str, Any] = {}
+    # The spill must see the real block stream, so the space stage
+    # bypasses store *reads* on those runs; its artifact is still
+    # persisted for later runs.  A stored space makes a checkpoint moot.
+    bypass = ("space",) if spill_dir is not None else ()
+    spilled: Dict[str, ConfigSpaceResult] = {}
 
     def compute_calibrate(node: StageNode, inputs: Dict[str, Any]):
         name = node.name.split(":", 1)[1]
@@ -257,57 +266,42 @@ def run_scenario(
                 budget_mb=None,
             )
             return searched
-        if streaming:
-            spill = None
-            if spill_dir is not None:
-                spill = SpaceSpill(
-                    directory=spill_dir,
-                    nodes=tuple(plan.calibrations),
-                    units_total=plan.units,
-                    total_rows=count_space_rows(plan.group_specs),
-                )
-            reduced = ctx.space_reduced(
-                plan.group_specs,
-                params,
-                plan.units,
-                memory_budget_mb=scenario.memory_budget_mb,
-                queueing=plan.queue_kw,
-                consumers=(spill,) if spill is not None else (),
-                checkpoint=checkpoint,
-                resume=resume,
-                **backend_kw,
+        spill = None
+        if spill_dir is not None:
+            spill = SpaceSpill(
+                directory=spill_dir,
+                nodes=tuple(plan.calibrations),
+                units_total=plan.units,
+                total_rows=count_space_rows(plan.group_specs),
             )
-            if spill is not None:
-                spill_box["space"] = spill.finish()
-            ctx.emit(
-                "space.memory",
-                mode="streaming",
-                rows=reduced.total_rows,
-                peak_estimate_nbytes=reduced.peak_block_nbytes,
-                full_nbytes=reduced.full_nbytes,
-                budget_mb=scenario.memory_budget_mb,
-            )
-            return reduced
-        space = ctx.space_groups(
-            plan.group_specs, params, plan.units, **backend_kw
+        reduced = ctx.space_reduced(
+            plan.group_specs,
+            params,
+            plan.units,
+            memory_budget_mb=scenario.memory_budget_mb,
+            queueing=plan.queue_kw,
+            consumers=(spill,) if spill is not None else (),
+            checkpoint=checkpoint,
+            resume=resume,
+            **backend_kw,
         )
+        if spill is not None:
+            spilled["space"] = spill.finish()
         ctx.emit(
             "space.memory",
-            mode="materialized",
-            rows=len(space),
-            peak_estimate_nbytes=space.nbytes,
-            full_nbytes=space.nbytes,
-            budget_mb=None,
+            mode="streaming",
+            rows=reduced.total_rows,
+            peak_estimate_nbytes=reduced.peak_block_nbytes,
+            full_nbytes=reduced.full_nbytes,
+            budget_mb=scenario.memory_budget_mb,
         )
-        return space
+        return reduced
 
     def compute_frontier(node: StageNode, inputs: Dict[str, Any]):
         space_art = inputs["space"]
         if isinstance(space_art, SearchedSpace):
-            return frontier_artifact_from_reduced(space_art.reduced)
-        if isinstance(space_art, ReducedSpace):
-            return frontier_artifact_from_reduced(space_art)
-        return frontier_artifact_from_space(space_art)
+            space_art = space_art.reduced
+        return frontier_artifact_from_reduced(space_art)
 
     def compute_regions(node: StageNode, inputs: Dict[str, Any]):
         art = inputs["frontier"]
@@ -316,11 +310,8 @@ def run_scenario(
         )
 
     def compute_queueing(node: StageNode, inputs: Dict[str, Any]):
-        space_art = inputs["space"]
-        if isinstance(space_art, ReducedSpace):
-            # Folded into the block pass; this stage just surfaces it.
-            return space_art.queueing
-        return figure10_series(space_art, **plan.queue_kw)
+        # Folded into the block pass; this stage just surfaces it.
+        return inputs["space"].queueing
 
     execution = run_plan(
         plan,
@@ -345,19 +336,26 @@ def run_scenario(
         result = ScenarioResult(
             scenario=scenario,
             params=params,
-            space=None,
             reduced=space_art.reduced,
             search=space_art,
         )
-    elif isinstance(space_art, ReducedSpace):
+    else:
+        # The spill kept the cloud; otherwise the materialized space is
+        # evaluated, bit for bit, only if a caller reads it.
+        spilled_space = spilled.get("space")
+        space_source = (
+            (lambda: spilled_space) if spilled_space is not None
+            else partial(
+                ctx.space_groups, plan.group_specs, params, plan.units,
+                **backend_kw,
+            )
+        )
         result = ScenarioResult(
             scenario=scenario,
             params=params,
-            space=spill_box.get("space"),
             reduced=space_art,
+            space_source=space_source,
         )
-    else:
-        result = ScenarioResult(scenario=scenario, params=params, space=space_art)
 
     if "frontier" in artifacts:
         art = artifacts["frontier"]

@@ -45,6 +45,7 @@ _RETIRED_FIELDS = {
     "chunk_rows": "the memory budget alone sizes streaming blocks",
     "reduce_at": "every streaming block is folded where it is evaluated",
     "simulation": "the batched measurement campaign is the only one",
+    "space_mode": "every exhaustive run streams its space",
 }
 
 #: How the :class:`DeprecationWarning` for dropped retired fields begins.
@@ -214,16 +215,8 @@ class Scenario:
         added automatically.
     utilizations, window_s:
         Queueing-stage knobs (Fig. 10 semantics).
-    space_mode:
-        How the configuration space flows through the pipeline:
-        ``"materialized"`` holds the full column stacks in RAM (the
-        historical behavior), ``"streaming"`` evaluates memory-bounded
-        blocks and folds them through incremental reducers
-        (:mod:`repro.core.streaming`), caching only the reduced
-        artifacts.  Results are bit-identical, so the mode is excluded
-        from the cache identity.
     memory_budget_mb:
-        Peak-memory budget for streaming evaluation, megabytes;
+        Peak-memory budget for the streamed space evaluation, megabytes;
         ``None`` uses :data:`repro.core.streaming.DEFAULT_MEMORY_BUDGET_MB`.
         With the worker count it decides the block plan.  An execution
         knob, excluded from the cache identity.
@@ -242,8 +235,8 @@ class Scenario:
         historical behavior -- while ``{"strategy": "random" | "ga" |
         "anneal", "budget_rows": ..., "seed": ..., "batch_rows": ...,
         "options": {...}}`` runs a :mod:`repro.search` agent under a row
-        budget.  Unlike ``space_mode``, an active search **is** part of
-        the cache identity: a sampled frontier is approximate, so it
+        budget.  Unlike the execution knobs, an active search **is** part
+        of the cache identity: a sampled frontier is approximate, so it
         must never share cache entries with the exhaustive one.
         ``budget_rows`` defaults to 5% of the space at run time; ``seed``
         defaults to the scenario seed; remaining ``options`` pass to the
@@ -267,7 +260,6 @@ class Scenario:
     stages: Tuple[str, ...] = ("frontier", "regions")
     utilizations: Tuple[float, ...] = (0.05, 0.25, 0.50)
     window_s: float = 20.0
-    space_mode: str = "materialized"
     memory_budget_mb: Optional[float] = None
     name: Optional[str] = None
     node_types: Optional[Tuple[NodeGroup, ...]] = None
@@ -311,11 +303,6 @@ class Scenario:
             raise ValueError("noise scale must be non-negative")
         if finite_float(self.window_s, "window_s") <= 0:
             raise ValueError("queueing window must be positive")
-        if self.space_mode not in ("materialized", "streaming"):
-            raise ValueError(
-                f"space_mode must be 'materialized' or 'streaming', got "
-                f"{self.space_mode!r}"
-            )
         if self.memory_budget_mb is not None and finite_float(
             self.memory_budget_mb, "memory_budget_mb"
         ) <= 0:
@@ -453,18 +440,15 @@ class Scenario:
         """The fields that determine results.
 
         Drops the cosmetic ``name`` and the execution choices
-        (``space_mode``, ``memory_budget_mb``, ``backend``,
-        ``backend_options``) -- streaming produces the same reduced
-        artifacts as materializing, and every execution backend and
-        block plan produces the same bytes, so they all share cache
-        entries.  The
+        (``memory_budget_mb``, ``backend``, ``backend_options``) --
+        every execution backend and block plan produces the same bytes,
+        so they all share cache entries.  The
         node-type axes are canonicalized to the group list, so a
         two-type scenario written with the pair fields and the same one
         written with ``node_types`` share entries too.
         """
         raw = self.to_dict()
         raw.pop("name")
-        raw.pop("space_mode")
         raw.pop("memory_budget_mb")
         raw.pop("backend")
         raw.pop("backend_options")

@@ -23,11 +23,10 @@ warm store recomputes nothing at all.  :func:`explain_plan` is the
 dry-run twin -- it reports each stage's identity and store status
 (``hit`` / ``stale`` / ``miss``) without executing a thing.
 
-Identities are *mode-independent* for the analysis stages: streaming
-and materialized runs produce bit-identical frontier/region/queueing
-artifacts (pinned by the PR 4 property suite), so they share stage
-identities; only the ``space`` stage -- whose artifact genuinely
-differs in shape (full columns vs reduced summary) -- keys on the mode.
+The ``space`` stage always streams: its artifact is the reduced
+summary of one block pass.  The analysis stages key on the space
+*content* only, so their identities are those the materialized pipeline
+gave the same bit-identical artifacts.
 """
 
 from __future__ import annotations
@@ -100,8 +99,9 @@ class FrontierArtifact:
     service need about a frontier: the Pareto points themselves, the
     per-group homogeneous frontiers, per-point composition labels, and
     the ``(G, F)`` node counts of each frontier point (the deployable
-    answer to "cheapest config for deadline D").  Streaming and
-    materialized runs produce bit-identical instances.
+    answer to "cheapest config for deadline D").  The streamed stage
+    and :func:`frontier_artifact_from_space` produce bit-identical
+    instances.
     """
 
     frontier: ParetoFrontier
@@ -239,9 +239,9 @@ def build_stage_plan(scenario: Scenario, ctx) -> StagePlan:
     axes = tuple(
         (g.node, int(g.max_nodes), g.counts, g.settings) for g in groups
     )
-    # An active search IS part of the space-content identity -- unlike
-    # ``space_mode``, a sampled frontier is approximate, so it must never
-    # alias the exhaustive artifact (or a differently-budgeted sample).
+    # An active search IS part of the space-content identity -- a
+    # sampled frontier is approximate, so it must never alias the
+    # exhaustive artifact (or a differently-budgeted sample).
     # Exhaustive scenarios hash exactly as before the search layer existed.
     content_token: Tuple = (
         "stage:space-content", tuple(sorted(cal_ids.items())), axes, plan.units,
@@ -251,19 +251,13 @@ def build_stage_plan(scenario: Scenario, ctx) -> StagePlan:
     space_content_id = stable_hash(content_token)
     plan.space_content_id = space_content_id
 
-    streaming = scenario.space_mode == "streaming"
     queueing_key = _queueing_key(queue_kw) if queue_kw is not None else None
-    # The space artifact's *shape* depends on the mode (full columns vs
-    # reduced summary -- and streaming folds the queueing series into the
-    # same pass, so its knobs join the key there); the analysis stages
-    # below it are bit-identical across modes and share identities.
+    # The space artifact is the streamed summary, which folds the
+    # queueing series into the same pass, so its knobs join the key.
+    # The "streaming" token keeps the identities of artifacts stored
+    # before the materialized space left the pipeline.
     space_id = stable_hash(
-        (
-            "stage:space",
-            scenario.space_mode,
-            space_content_id,
-            queueing_key if streaming else None,
-        )
+        ("stage:space", "streaming", space_content_id, queueing_key)
     )
     cal_names = tuple(f"calibrate:{name}" for name in calibrations)
     nodes.append(
@@ -433,7 +427,8 @@ def explain_plan(plan: StagePlan, store=None) -> List[Dict[str, Any]]:
 def frontier_artifact_from_space(space: ConfigSpaceResult) -> FrontierArtifact:
     """Derive the frontier artifact from a materialized space.
 
-    Bit-identical to the streaming reducer's frontier fields (pinned by
+    The oracle for the streamed frontier stage: bit-identical to the
+    streaming reducer's frontier fields (pinned by
     ``tests/property/test_streaming_properties.py`` equivalences): each
     row's solo group is computed once, as the streaming pass does, and
     drives both the composition labels and the per-group frontiers;

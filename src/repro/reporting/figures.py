@@ -28,12 +28,11 @@ from repro.core.calibration import (
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import ConfigSpaceResult
 from repro.core.pareto import ParetoFrontier
-from repro.core.streaming import ReducedSpace
 from repro.engine.context import RunContext, default_context
 from repro.core.power_budget import Mix, budget_mixes, scaled_mixes
-from repro.core.regions import RegionReport, analyze_regions, analyze_regions_reduced
+from repro.core.regions import RegionReport, analyze_regions
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9, ETHERNET_SWITCH, table1_rows
-from repro.queueing.dispatcher import WindowPoint, figure10_series
+from repro.queueing.dispatcher import WindowPoint
 from repro.reporting.tables import Table
 from repro.simulator.batch import repeat_settings
 from repro.simulator.node import NodeSimulator
@@ -308,28 +307,17 @@ def build_fig3(
 
 @dataclass
 class ParetoFigure:
-    """Fig. 4/5 bundle: all configurations plus the three highlighted curves.
-
-    ``space`` is ``None`` when the figure was built in streaming mode --
-    the full point cloud was never materialized, only reduced artifacts
-    survive (``reduced`` carries the frontier/composition summary).
-    Renderers should skip the cloud in that case (``cloud_series``
-    returns ``None``); the three curves and regions are bit-identical to
-    the materialized build.
-    """
+    """Fig. 4/5 bundle: all configurations plus the three highlighted curves."""
 
     workload: str
-    space: Optional[ConfigSpaceResult]
+    space: ConfigSpaceResult
     frontier: ParetoFrontier
     arm_only_frontier: ParetoFrontier
     amd_only_frontier: ParetoFrontier
     regions: RegionReport
-    reduced: Optional[ReducedSpace] = None
 
-    def cloud_series(self) -> Optional[FigureSeries]:
-        """Every configuration (the grey dots), or ``None`` if streamed."""
-        if self.space is None:
-            return None
+    def cloud_series(self) -> FigureSeries:
+        """Every configuration (the grey dots)."""
         return FigureSeries(
             label="all configurations",
             x=seconds_to_ms(self.space.times_s),
@@ -356,49 +344,17 @@ def build_fig4_fig5(
     calibrated: bool = False,
     seed: SeedLike = 0,
     ctx: Optional[RunContext] = None,
-    space_mode: str = "materialized",
-    memory_budget_mb: Optional[float] = None,
 ) -> ParetoFigure:
     """Figs. 4 (EP) and 5 (memcached): the 10x10 Pareto analysis.
 
     Calibration and space evaluation run through the engine context, so
-    rebuilding the same figure (or running the equivalent
-    :class:`~repro.engine.Scenario`) in one process is a cache hit.
-
-    ``space_mode="streaming"`` folds the space through block reducers
-    under ``memory_budget_mb`` instead of materializing it: the returned
-    figure has ``space=None`` (no point cloud) but bit-identical
-    frontiers and regions.
+    rebuilding the same figure in one process is a cache hit.  The
+    figure plots every configuration, so the space is materialized.
     """
     ctx = ctx if ctx is not None else default_context()
-    if space_mode not in ("materialized", "streaming"):
-        raise ValueError(
-            f"space_mode must be 'materialized' or 'streaming', got "
-            f"{space_mode!r}"
-        )
     if units is None:
         units = workload.problem_sizes.get("analysis", workload.default_job_units)
     params = suite_params(workload, calibrated=calibrated, seed=seed, ctx=ctx)
-    if space_mode == "streaming":
-        group_specs = (
-            GroupSpec(ARM_CORTEX_A9, max_arm),
-            GroupSpec(AMD_K10, max_amd),
-        )
-        reduced = ctx.space_reduced(
-            group_specs, params, units, memory_budget_mb=memory_budget_mb
-        )
-        arm_frontier, amd_frontier = reduced.group_frontiers
-        if arm_frontier is None or amd_frontier is None:
-            raise ValueError("figure needs both homogeneous frontiers")
-        return ParetoFigure(
-            workload=workload.name,
-            space=None,
-            frontier=reduced.frontier,
-            arm_only_frontier=arm_frontier,
-            amd_only_frontier=amd_frontier,
-            regions=analyze_regions_reduced(reduced),
-            reduced=reduced,
-        )
     space = ctx.space(ARM_CORTEX_A9, max_arm, AMD_K10, max_amd, params, units)
     frontier = ParetoFrontier.from_points(space.times_s, space.energies_j)
     arm_only = space.subset(space.is_only_a)
@@ -541,51 +497,30 @@ def build_fig10(
     calibrated: bool = False,
     seed: SeedLike = 0,
     ctx: Optional[RunContext] = None,
-    space_mode: str = "materialized",
     memory_budget_mb: Optional[float] = None,
 ) -> Dict[float, List[WindowPoint]]:
     """Fig. 10: queueing-aware window energy on the 16 ARM + 14 AMD cluster.
 
     Configurations may use any subset of the nodes (unused nodes are off),
-    so the space spans all counts up to the cluster size.
-    ``space_mode="streaming"`` folds the blocks through per-utilization
-    frontier reducers instead of materializing the space; the series are
-    bit-identical.
+    so the space spans all counts up to the cluster size.  The blocks
+    stream through per-utilization frontier reducers under
+    ``memory_budget_mb``; the space is never materialized, and the
+    series are bit-identical to :func:`~repro.queueing.dispatcher.figure10_series`
+    over the whole space.
     """
     ctx = ctx if ctx is not None else default_context()
-    if space_mode not in ("materialized", "streaming"):
-        raise ValueError(
-            f"space_mode must be 'materialized' or 'streaming', got "
-            f"{space_mode!r}"
-        )
     if units is None:
         units = workload.problem_sizes.get("analysis", workload.default_job_units)
     params = suite_params(workload, calibrated=calibrated, seed=seed, ctx=ctx)
-    if space_mode == "streaming":
-        group_specs = (
-            GroupSpec(ARM_CORTEX_A9, n_arm),
-            GroupSpec(AMD_K10, n_amd),
-        )
-        reduced = ctx.space_reduced(
-            group_specs,
-            params,
-            units,
-            memory_budget_mb=memory_budget_mb,
-            queueing={
-                "idle_powers_w": (
-                    ARM_CORTEX_A9.idle_power_w,
-                    AMD_K10.idle_power_w,
-                ),
-                "utilizations": tuple(utilizations),
-                "window_s": window_s,
-            },
-        )
-        return reduced.queueing
-    space = ctx.space(ARM_CORTEX_A9, n_arm, AMD_K10, n_amd, params, units)
-    return figure10_series(
-        space,
-        ARM_CORTEX_A9.idle_power_w,
-        AMD_K10.idle_power_w,
-        utilizations=utilizations,
-        window_s=window_s,
+    reduced = ctx.space_reduced(
+        (GroupSpec(ARM_CORTEX_A9, n_arm), GroupSpec(AMD_K10, n_amd)),
+        params,
+        units,
+        memory_budget_mb=memory_budget_mb,
+        queueing={
+            "idle_powers_w": (ARM_CORTEX_A9.idle_power_w, AMD_K10.idle_power_w),
+            "utilizations": tuple(utilizations),
+            "window_s": window_s,
+        },
     )
+    return reduced.queueing

@@ -240,9 +240,6 @@ def plot_pareto_figure(
     The cloud contains arbitrarily slow configurations (one node at
     fmin); like the paper's axes, the view clips at ``x_max_factor``
     times the frontier's most relaxed deadline.
-
-    Streaming-built figures carry no point cloud (``cloud_series()`` is
-    ``None``); the frontier is drawn alone.
     """
     canvas = AsciiCanvas(
         width=width,
@@ -252,12 +249,9 @@ def plot_pareto_figure(
     )
     cloud = fig.cloud_series()
     frontier = fig.frontier_series()
-    if cloud is not None:
-        x_max = float(frontier.x.max()) * x_max_factor
-        in_view = cloud.x <= x_max
-        canvas.fit(cloud.x[in_view], cloud.y[in_view])
-        canvas.scatter(cloud.x[in_view], cloud.y[in_view], "all configurations")
-    else:
-        canvas.fit(frontier.x, frontier.y)
+    x_max = float(frontier.x.max()) * x_max_factor
+    in_view = cloud.x <= x_max
+    canvas.fit(cloud.x[in_view], cloud.y[in_view])
+    canvas.scatter(cloud.x[in_view], cloud.y[in_view], "all configurations")
     canvas.line(frontier.x, frontier.y, "Pareto frontier")
     return canvas.render(f"Energy vs deadline: {fig.workload}")

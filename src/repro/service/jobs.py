@@ -273,7 +273,9 @@ class JobQueue:
         self, job_id: str, owner: str, result: Optional[Dict[str, Any]] = None
     ) -> bool:
         """``running`` -> ``done`` -- only while ``owner`` still holds the
-        lease, so a superseded worker's late result is discarded."""
+        lease, so a superseded worker's late result is discarded.  A
+        non-finite number in ``result`` raises ``ValueError`` and leaves
+        the job as it was: stored results are strict JSON."""
         now = time.time()
         with self.store.transaction() as conn:
             cur = conn.execute(
@@ -281,7 +283,8 @@ class JobQueue:
                 "lease_owner = NULL, lease_expires_at = NULL, "
                 "updated_at = ? WHERE id = ? AND lease_owner = ? "
                 "AND state = 'running'",
-                (json.dumps(result or {}, sort_keys=True), now, job_id, owner),
+                (json.dumps(result or {}, sort_keys=True, allow_nan=False),
+                 now, job_id, owner),
             )
         done = bool(cur.rowcount)
         if done:
@@ -300,6 +303,8 @@ class JobQueue:
         Retryable failures below the attempt budget go back to
         ``queued`` with deterministic backoff; everything else parks in
         ``failed``.  ``None`` when ``owner`` no longer holds the lease.
+        A non-finite number in ``error`` raises ``ValueError`` and
+        leaves the job as it was.
         """
         now = time.time()
         with self.store.transaction() as conn:
@@ -321,7 +326,7 @@ class JobQueue:
                 (
                     state,
                     json.dumps(dict(error, retryable=bool(retryable)),
-                               sort_keys=True),
+                               sort_keys=True, allow_nan=False),
                     now + retry_backoff_s(attempts) if retry else 0.0,
                     now,
                     job_id,
@@ -384,7 +389,7 @@ class JobQueue:
                                 "message": f"lease expired after "
                                            f"{attempts} attempt(s)",
                                 "retryable": False,
-                            }, sort_keys=True),
+                            }, sort_keys=True, allow_nan=False),
                             now,
                             job_id,
                         ),

@@ -184,7 +184,9 @@ class StoreQueryHandler(BaseHTTPRequestHandler):
         body: Dict[str, Any],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        payload = json.dumps(body, indent=2, sort_keys=True).encode("utf-8")
+        payload = json.dumps(
+            body, indent=2, sort_keys=True, allow_nan=False
+        ).encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -10,7 +10,7 @@ one store; lease ownership keeps them from treading on each other.
 
 Crash safety is the point:
 
-* Streaming/search scenarios get a **per-job checkpoint directory**
+* Every job gets a **per-job checkpoint directory**
   (``<store>/jobs/<id>/``), so a supervisor killed mid-reduction leaves
   a resumable prefix; the worker that reclaims the expired lease resumes
   from it and produces artifacts *bit-identical* to an uninterrupted
@@ -95,7 +95,7 @@ class Supervisor:
     poll_s:
         Idle sleep between queue polls.
     checkpoint_every:
-        Block cadence for the per-job checkpoints (streaming scenarios).
+        Block cadence for the per-job checkpoints.
     fault_plan:
         Optional :class:`~repro.engine.faults.FaultPlan` (or path to
         one) threaded into each job's run context -- the chaos-test
@@ -177,6 +177,36 @@ class Supervisor:
         shutil.rmtree(job_checkpoint_dir(self.store, job_id),
                       ignore_errors=True)
 
+    def _fail_job(self, job: Dict[str, Any], exc: Exception) -> str:
+        """Record a failed attempt: retryable errors re-queue, the rest
+        park the job in ``failed``; returns the resulting state."""
+        job_id = job["id"]
+        retryable = isinstance(exc, RETRYABLE)
+        state = self.queue.fail(
+            job_id,
+            self.worker_id,
+            {
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "attempt": job["attempts"],
+                "worker": self.worker_id,
+            },
+            retryable=retryable,
+        )
+        self.jobs_failed += 1
+        if state == "failed":
+            # Parked permanently: the checkpoint prefix can never
+            # be resumed (an operator retry starts clean).
+            self._discard_checkpoints(job_id)
+        self._emit(
+            "supervisor.job_failed",
+            job=job_id,
+            error=type(exc).__name__,
+            retryable=retryable,
+            state=state,
+        )
+        return state or self.queue.get(job_id)["state"]
+
     def run_job(self, job: Dict[str, Any]) -> str:
         """Execute one leased job to a terminal transition; returns the
         resulting state (``done``/``failed``/``queued``/``cancelled``)."""
@@ -216,17 +246,14 @@ class Supervisor:
         try:
             scenario = Scenario.from_json(job["scenario_json"])
             ctx = self._build_context(scenario)
-            ckpt_dir = None
-            if scenario.space_mode == "streaming" or scenario.search_active:
-                ckpt_dir = job_checkpoint_dir(self.store, job_id)
             result = run_scenario(
                 scenario,
                 ctx,
                 store=self.store,
-                checkpoint_dir=ckpt_dir,
+                checkpoint_dir=job_checkpoint_dir(self.store, job_id),
                 # Attempt 1 starts clean (no checkpoint file -> no-op);
                 # a reclaimed or re-queued attempt resumes the prefix.
-                resume=ckpt_dir is not None,
+                resume=True,
                 checkpoint_every=self.checkpoint_every,
             )
         except DrainAborted:
@@ -237,52 +264,30 @@ class Supervisor:
             self._emit("supervisor.drain_released", job=job_id)
             return self.queue.get(job_id)["state"]
         except Exception as exc:
-            retryable = isinstance(exc, RETRYABLE)
-            state = self.queue.fail(
-                job_id,
-                self.worker_id,
-                {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "attempt": job["attempts"],
-                    "worker": self.worker_id,
-                },
-                retryable=retryable,
-            )
-            self.jobs_failed += 1
-            if state == "failed":
-                # Parked permanently: the checkpoint prefix can never
-                # be resumed (an operator retry starts clean).
-                self._discard_checkpoints(job_id)
-            self._emit(
-                "supervisor.job_failed",
-                job=job_id,
-                error=type(exc).__name__,
-                retryable=retryable,
-                state=state,
-            )
-            return state or self.queue.get(job_id)["state"]
+            return self._fail_job(job, exc)
         finally:
             beat_stop.set()
             beater.join(timeout=self.lease_s)
 
         summary = result.summary()
-        completed = self.queue.complete(
-            job_id,
-            self.worker_id,
-            {
-                "scenario_identity": _scenario_identity(scenario),
-                "configurations": summary.get("configurations"),
-                "frontier_points": summary.get("frontier_points"),
-                "stage_statuses": dict(result.stage_statuses),
-            },
-        )
+        try:
+            completed = self.queue.complete(
+                job_id,
+                self.worker_id,
+                {
+                    "scenario_identity": _scenario_identity(scenario),
+                    "configurations": summary.get("configurations"),
+                    "frontier_points": summary.get("frontier_points"),
+                    "stage_statuses": dict(result.stage_statuses),
+                },
+            )
+        except ValueError as exc:
+            # A non-finite number cannot be stored as strict JSON: a
+            # permanent failure, whose error body is finite.
+            return self._fail_job(job, exc)
         if completed:
             self.jobs_done += 1
-            # The job's checkpoint prefix is dead weight once the
-            # artifacts are stored; a failed cleanup is harmless.
-            if ckpt_dir is not None:
-                shutil.rmtree(ckpt_dir, ignore_errors=True)
+            self._discard_checkpoints(job_id)
             self._emit("supervisor.job_done", job=job_id)
             return "done"
         # Lease lost mid-run: a healthier worker owns (or finished) the

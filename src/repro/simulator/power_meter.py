@@ -156,11 +156,6 @@ class PowerMeter:
         )
         return self._read(true, f"stall c={cores} f={f_ghz}")
 
-    def measure_io_active(self) -> PowerSample:
-        """Node power while saturating the NIC with DMA transfers."""
-        true = self.node.power.idle_w + self.node.power.io_active_w
-        return self._read(true, "io-active")
-
     # -- derived characterization ----------------------------------------
 
     def characterize_core_active(self, f_ghz: float) -> float:

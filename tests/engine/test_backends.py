@@ -12,6 +12,7 @@ below pins one face of that contract across the whole matrix.
 import shutil
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from repro.engine.hashing import stable_hash
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.runner import run_scenario
 from repro.engine.scenario import Scenario
+from repro.engine.stagegraph import build_stage_plan, frontier_artifact_from_space
+from repro.queueing.dispatcher import figure10_series
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -82,7 +85,6 @@ def streaming_scenario(**overrides):
         max_b=6,
         stages=("frontier", "regions", "queueing"),
         utilizations=(0.25,),
-        space_mode="streaming",
         memory_budget_mb=0.25,
         name="backend-conformance",
     )
@@ -452,9 +454,20 @@ class TestWorkerReduceConformance:
 
     @pytest.fixture(scope="class")
     def batch_oracle(self):
-        return run_scenario(
-            streaming_scenario(space_mode="materialized"),
-            RunContext(max_workers=1),
+        """The materialized pipeline: the whole space through the
+        ``frontier_artifact_from_space``/``figure10_series`` oracles."""
+        scenario = streaming_scenario()
+        ctx = RunContext(max_workers=1)
+        plan = build_stage_plan(scenario, ctx)
+        params = run_scenario(scenario, ctx).params
+        space = evaluate_space_groups(plan.group_specs, params, plan.units)
+        art = frontier_artifact_from_space(space)
+        return SimpleNamespace(
+            space=space,
+            frontier=art.frontier,
+            group_frontiers=art.group_frontiers,
+            regions=SimpleNamespace(composition=art.composition),
+            queueing=figure10_series(space, **plan.queue_kw),
         )
 
     @pytest.mark.parametrize("name, options", MATRIX)

@@ -14,6 +14,7 @@ import pytest
 
 import repro.core.calibration as calibration_mod
 import repro.core.evaluate as evaluate_mod
+import repro.engine.executor as executor_mod
 from repro.engine import RunContext, Scenario, run_scenario
 from repro.engine.hashing import stable_hash
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
@@ -25,19 +26,25 @@ class TestCallCounting:
     """Same scenario twice => each expensive stage runs exactly once."""
 
     def test_scenario_rerun_is_pure_cache_hit(self, monkeypatch):
-        calibrate_calls, space_calls = [], []
+        calibrate_calls, stream_calls, space_calls = [], [], []
         real_calibrate = calibration_mod.calibrate_node
+        real_stream = executor_mod.iter_space_groups_chunked
         real_space = evaluate_mod.evaluate_space_groups
 
         def counting_calibrate(*args, **kwargs):
             calibrate_calls.append(args[0].name)
             return real_calibrate(*args, **kwargs)
 
+        def counting_stream(*args, **kwargs):
+            stream_calls.append(1)
+            return real_stream(*args, **kwargs)
+
         def counting_space(*args, **kwargs):
             space_calls.append(1)
             return real_space(*args, **kwargs)
 
         monkeypatch.setattr(calibration_mod, "calibrate_node", counting_calibrate)
+        monkeypatch.setattr(executor_mod, "iter_space_groups_chunked", counting_stream)
         monkeypatch.setattr(evaluate_mod, "evaluate_space_groups", counting_space)
 
         scenario = Scenario(
@@ -47,10 +54,14 @@ class TestCallCounting:
         first = run_scenario(scenario, ctx)
         second = run_scenario(scenario, ctx)
 
-        # One calibration per node type, one space evaluation -- total.
+        # One calibration per node type, one streamed pass -- total.
         assert sorted(calibrate_calls) == ["amd-k10", "arm-cortex-a9"]
-        assert len(space_calls) == 1
+        assert len(stream_calls) == 1
+        assert second.reduced is first.reduced
+        # The whole space is evaluated once, on first read, and shared.
+        before = len(space_calls)
         assert second.space is first.space
+        assert len(space_calls) == before + 1
         np.testing.assert_array_equal(first.space.times_s, second.space.times_s)
 
     def test_ground_truth_params_computed_once(self, monkeypatch):
@@ -140,7 +151,7 @@ class TestRefcountRelease:
         "extra",
         [
             {"stages": ("frontier", "regions", "queueing")},
-            {"stages": ("frontier",), "space_mode": "streaming"},
+            {"stages": ("frontier",), "memory_budget_mb": 0.01},
             {"stages": ("frontier",),
              "search": {"strategy": "ga", "budget_rows": 200}},
         ],

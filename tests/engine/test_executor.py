@@ -144,6 +144,52 @@ class TestAdaptiveBlockPlan:
         assert sum(t.rows for t in roomy) == count_space_rows(self.GROUPS)
 
 
+class TestSmallSpaceRule:
+    """A streamed space below ``PARALLEL_THRESHOLD_ROWS`` rows plans one
+    in-process worker, unless the caller names a worker count or a
+    backend -- in the plan and in execution alike."""
+
+    SMALL = (GroupSpec(ARM_CORTEX_A9, 6), GroupSpec(AMD_K10, 6))
+
+    @staticmethod
+    def _shape(plan):
+        return [(t.counts, t.rows) for t in plan]
+
+    def test_small_space_plans_one_in_process_worker(self):
+        assert count_space_rows(self.SMALL) < PARALLEL_THRESHOLD_ROWS
+        backend, workers = executor._stream_backend(
+            self.SMALL, None, None, None
+        )
+        assert (backend.name, workers) == ("serial", 1)
+        assert self._shape(
+            space_block_plan(self.SMALL, memory_budget_mb=0.25)
+        ) == self._shape(
+            space_block_plan(
+                self.SMALL, max_workers=1, memory_budget_mb=0.25,
+                backend="serial",
+            )
+        )
+
+    def test_named_worker_count_or_backend_keeps_its_pool(self):
+        _, workers = executor._stream_backend(self.SMALL, 2, None, None)
+        assert workers == 2
+        assert len(space_block_plan(self.SMALL, max_workers=2)) >= 2
+        backend, workers = executor._stream_backend(
+            self.SMALL, None, "process_pool", {"workers": 2}
+        )
+        assert (backend.name, workers) == ("process_pool", 2)
+
+    def test_large_space_keeps_the_default_backend(self, monkeypatch):
+        from repro.engine.backends import resolve_backend
+
+        monkeypatch.setattr(executor, "PARALLEL_THRESHOLD_ROWS", 0)
+        backend, workers = executor._stream_backend(
+            self.SMALL, None, None, None
+        )
+        default = resolve_backend()
+        assert (backend.name, workers) == (default.name, default.parallelism)
+
+
 class TestParallelMap:
     def test_preserves_order(self):
         items = list(range(20))

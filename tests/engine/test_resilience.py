@@ -80,7 +80,6 @@ def streaming_scenario(**overrides):
         max_b=6,
         stages=("frontier", "regions", "queueing"),
         utilizations=(0.25,),
-        space_mode="streaming",
         memory_budget_mb=0.25,
         name="resilience",
     )
@@ -443,13 +442,19 @@ def _assert_results_identical(a, b):
 
 
 class TestCheckpointResume:
-    def test_checkpoint_requires_streaming(self, tmp_path):
-        scenario = streaming_scenario(space_mode="materialized")
-        with pytest.raises(ValueError, match="streaming"):
-            run_scenario(
-                scenario, RunContext(max_workers=1),
-                checkpoint_dir=tmp_path,
-            )
+    def test_checkpoint_works_on_every_exhaustive_scenario(self, tmp_path):
+        # Every exhaustive run streams, so any scenario can checkpoint --
+        # including one stored with the retired ``space_mode`` key.
+        stored = dict(streaming_scenario().to_dict(), space_mode="materialized")
+        with pytest.warns(DeprecationWarning, match="space_mode"):
+            scenario = Scenario.from_dict(stored)
+        clean = run_scenario(scenario, RunContext(max_workers=1))
+        checkpointed = run_scenario(
+            scenario, RunContext(max_workers=1),
+            checkpoint_dir=tmp_path, checkpoint_every=1,
+        )
+        assert list(tmp_path.glob("checkpoint-*.ckpt"))
+        _assert_results_identical(clean, checkpointed)
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):

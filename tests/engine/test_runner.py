@@ -115,9 +115,7 @@ class TestCachingAcrossRuns:
 
 class TestArgumentValidation:
     def test_spill_and_checkpoint_together_raise(self, ctx, tmp_path):
-        scenario = Scenario(
-            workload="ep", max_a=2, max_b=2, space_mode="streaming"
-        )
+        scenario = Scenario(workload="ep", max_a=2, max_b=2)
         with pytest.raises(ValueError, match="checkpoint_dir and spill_dir"):
             run_scenario(
                 scenario,

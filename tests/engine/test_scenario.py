@@ -185,9 +185,9 @@ class TestSerialization:
 
     def test_retired_reduce_at_key_ignored(self):
         # A scenario file an earlier release wrote: it carries the
-        # retired ``reduce_at``, ``simulation`` and ``chunk_rows``
-        # fields, ``reduce_at`` set to a value that release accepted
-        # only for streaming runs.
+        # retired ``reduce_at``, ``simulation``, ``chunk_rows`` and
+        # ``space_mode`` fields, ``reduce_at`` set to a value that
+        # release accepted only for streaming runs.
         with pytest.warns(DeprecationWarning, match="reduce_at") as caught:
             s = Scenario.from_file(PARENT_SCENARIO)
         (warning,) = [w for w in caught if w.category is DeprecationWarning]
@@ -196,10 +196,10 @@ class TestSerialization:
             ("chunk_rows", "the memory budget alone sizes streaming blocks"),
             ("reduce_at", "folded where it is evaluated"),
             ("simulation", "the batched measurement campaign is the only one"),
+            ("space_mode", "every exhaustive run streams its space"),
         ):
             assert f"{key}: " in message and reason in message
-        assert s.space_mode == "streaming"
-        for key in ("reduce_at", "simulation", "chunk_rows"):
+        for key in ("reduce_at", "simulation", "chunk_rows", "space_mode"):
             assert key not in s.to_dict()
         # The identities that release computed for the same file.
         assert stable_hash(s.cache_identity()) == (
@@ -213,7 +213,7 @@ class TestSerialization:
             again = Scenario.from_dict(
                 dict(stored, space_mode="materialized", reduce_at="sideways")
             )
-        assert again.space_mode == "materialized"
+        assert again == s
 
     def test_retired_key_admits_no_unknown_keys(self):
         with pytest.warns(DeprecationWarning):

@@ -2,10 +2,14 @@
 
 Property tests pin the reducers themselves
 (``tests/property/test_streaming_properties.py``); these tests pin the
-engine threading: ``Scenario.space_mode`` runs end-to-end with
-bit-identical artifacts, the executor's block iterator matches the
-chunked evaluation, spill round-trips the full space, the mode stays out
-of the cache identity, and the ``space.memory`` accounting events fire.
+engine threading: every exhaustive scenario streams, and its artifacts
+are bit-identical to the materialized oracles
+(:func:`~repro.engine.stagegraph.frontier_artifact_from_space`,
+:func:`~repro.queueing.dispatcher.figure10_series`); ``result.space`` is
+built only on first read, with the materialized columns' bits; the
+executor's block iterator matches the chunked evaluation, spill
+round-trips the full space, the retired ``space_mode`` stays out of the
+cache identity, and the ``space.memory`` accounting events fire.
 """
 
 import numpy as np
@@ -15,11 +19,14 @@ from repro.core.streaming import load_spilled_space
 from repro.engine import ResultCache, RunContext, Scenario, run_scenario
 from repro.engine.executor import iter_space_groups_chunked
 from repro.engine.scenario import NodeGroup
+from repro.engine.stagegraph import build_stage_plan, frontier_artifact_from_space
 from repro.core.calibration import ground_truth_params
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import evaluate_space_groups
+from repro.core.regions import analyze_regions
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.hardware.extension import INTEL_ATOM
+from repro.queueing.dispatcher import figure10_series
 from repro.workloads.extension import with_atom
 from repro.workloads.suite import EP
 
@@ -28,23 +35,47 @@ PARAMS = {
 }
 UNITS = 1e6
 GROUPS = (GroupSpec(ARM_CORTEX_A9, 3), GroupSpec(AMD_K10, 3))
+SPACE_COLUMNS = ("n", "cores", "f", "units", "times_s", "energies_j")
 
 
-def scenario_pair(**overrides):
-    """(materialized, streaming) spellings of the same scenario."""
+def small_scenario(**overrides):
     base = dict(
         workload="ep",
         max_a=3,
         max_b=3,
         stages=("frontier", "regions", "queueing"),
         utilizations=(0.1, 0.5),
+        memory_budget_mb=1.0,
         name="modes",
     )
     base.update(overrides)
-    return (
-        Scenario(**base),
-        Scenario(space_mode="streaming", memory_budget_mb=1.0, **base),
-    )
+    return Scenario(**base)
+
+
+def three_type_ctx():
+    ctx = RunContext(seed=0)
+    ctx.register_node(INTEL_ATOM)
+    ctx.register_workload(with_atom(EP))
+    return ctx
+
+
+THREE_TYPE = dict(
+    workload="ep",
+    node_types=(
+        NodeGroup("arm-cortex-a9", 2),
+        NodeGroup("amd-k10", 2),
+        NodeGroup("intel-atom", 2),
+    ),
+    stages=("frontier", "regions", "queueing"),
+    utilizations=(0.25,),
+    memory_budget_mb=0.5,
+)
+
+
+def oracle_space(scenario, ctx, result):
+    """The whole space as the materialized pipeline evaluated it."""
+    plan = build_stage_plan(scenario, ctx)
+    return plan, evaluate_space_groups(plan.group_specs, result.params, plan.units)
 
 
 def assert_frontiers_identical(left, right):
@@ -53,69 +84,72 @@ def assert_frontiers_identical(left, right):
     np.testing.assert_array_equal(left.indices, right.indices)
 
 
+def assert_spaces_identical(left, right):
+    for name in SPACE_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(left, name), getattr(right, name), err_msg=name
+        )
+    assert left.units_total == right.units_total
+
+
+def assert_matches_oracles(scenario, ctx, result):
+    plan, space = oracle_space(scenario, ctx, result)
+    art = frontier_artifact_from_space(space)
+    assert result.num_configurations == len(space)
+    assert_frontiers_identical(art.frontier, result.frontier)
+    for oracle, streamed in zip(art.group_frontiers, result.group_frontiers):
+        assert (oracle is None) == (streamed is None)
+        if oracle is not None:
+            assert_frontiers_identical(oracle, streamed)
+    np.testing.assert_array_equal(art.frontier_n, result.reduced.frontier_n)
+    assert art.composition == result.regions.composition
+    assert result.queueing == figure10_series(space, **plan.queue_kw)
+    return space
+
+
 class TestScenarioModes:
     def test_streaming_matches_materialized_end_to_end(self):
-        materialized, streaming = scenario_pair()
-        m = run_scenario(materialized, RunContext(seed=0))
-        s = run_scenario(streaming, RunContext(seed=0))
-
-        assert s.space is None and s.reduced is not None
-        assert s.num_configurations == len(m.space)
-        assert_frontiers_identical(m.frontier, s.frontier)
-        assert_frontiers_identical(m.only_a_frontier, s.only_a_frontier)
-        assert_frontiers_identical(m.only_b_frontier, s.only_b_frontier)
-        assert m.regions.composition == s.regions.composition
-        assert m.queueing == s.queueing
-        assert s.summary()["space_mode"] == "streaming"
-        assert s.summary()["configurations"] == len(m.space)
+        scenario = small_scenario()
+        ctx = RunContext(seed=0)
+        s = run_scenario(scenario, ctx)
+        space = assert_matches_oracles(scenario, ctx, s)
+        assert s.reduced is not None and s.search is None
+        assert "space_mode" not in s.summary()
+        assert s.summary()["configurations"] == len(space)
+        regions = analyze_regions(space, s.frontier)
+        assert regions.composition == s.regions.composition
 
     def test_three_type_streaming(self):
-        def fresh_ctx():
-            ctx = RunContext(seed=0)
-            ctx.register_node(INTEL_ATOM)
-            ctx.register_workload(with_atom(EP))
-            return ctx
-
-        base = dict(
-            workload="ep",
-            node_types=(
-                NodeGroup("arm-cortex-a9", 2),
-                NodeGroup("amd-k10", 2),
-                NodeGroup("intel-atom", 2),
-            ),
-            stages=("frontier", "regions", "queueing"),
-            utilizations=(0.25,),
-        )
-        m = run_scenario(Scenario(**base), fresh_ctx())
-        s = run_scenario(
-            Scenario(space_mode="streaming", memory_budget_mb=0.5, **base),
-            fresh_ctx(),
-        )
-        assert_frontiers_identical(m.frontier, s.frontier)
-        assert m.regions.composition == s.regions.composition
-        assert m.queueing == s.queueing
+        scenario = Scenario(**THREE_TYPE)
+        ctx = three_type_ctx()
+        assert_matches_oracles(scenario, ctx, run_scenario(scenario, ctx))
 
     def test_spill_round_trips_the_full_space(self, tmp_path):
-        materialized, streaming = scenario_pair(stages=("frontier",))
-        m = run_scenario(materialized, RunContext(seed=0))
+        scenario = small_scenario(stages=("frontier",))
+        lazy = run_scenario(scenario, RunContext(seed=0))
         s = run_scenario(
-            streaming, RunContext(seed=0), spill_dir=tmp_path / "spill"
+            scenario, RunContext(seed=0), spill_dir=tmp_path / "spill"
         )
         assert s.space is not None  # spill hands the columns back
-        for name in ("n", "cores", "f", "units", "times_s", "energies_j"):
-            np.testing.assert_array_equal(
-                getattr(m.space, name), getattr(s.space, name), err_msg=name
-            )
+        assert isinstance(s.space.times_s, np.memmap)
+        assert_spaces_identical(lazy.space, s.space)
         reopened = load_spilled_space(tmp_path / "spill")
-        np.testing.assert_array_equal(m.space.times_s, reopened.times_s)
-        np.testing.assert_array_equal(m.space.n, reopened.n)
+        np.testing.assert_array_equal(lazy.space.times_s, reopened.times_s)
+        np.testing.assert_array_equal(lazy.space.n, reopened.n)
 
     def test_space_mode_not_in_cache_identity(self):
-        materialized, streaming = scenario_pair()
-        assert materialized.cache_identity() == streaming.cache_identity()
+        scenario = small_scenario()
+        for mode in ("materialized", "streaming"):
+            stored = dict(scenario.to_dict(), space_mode=mode)
+            with pytest.warns(DeprecationWarning, match="space_mode"):
+                loaded = Scenario.from_dict(stored)
+            assert loaded == scenario
+            assert loaded.cache_identity() == scenario.cache_identity()
+        assert "space_mode" not in scenario.to_dict()
+        assert "space_mode" not in scenario.cache_identity()
 
     def test_invalid_mode_and_budget_rejected(self):
-        with pytest.raises(ValueError, match="space_mode"):
+        with pytest.raises(TypeError, match="space_mode"):
             Scenario(workload="ep", max_a=2, max_b=2, space_mode="lazy")
         with pytest.raises(ValueError, match="memory budget"):
             Scenario(workload="ep", max_a=2, max_b=2, memory_budget_mb=0.0)
@@ -123,12 +157,56 @@ class TestScenarioModes:
     def test_reduced_artifacts_are_cached(self):
         cache = ResultCache()
         ctx = RunContext(seed=0, cache=cache)
-        _, streaming = scenario_pair()
-        run_scenario(streaming, ctx)
+        scenario = small_scenario()
+        run_scenario(scenario, ctx)
         before = cache.stats.misses
-        run_scenario(streaming, ctx)
+        run_scenario(scenario, ctx)
         assert cache.stats.misses == before
         assert cache.stats.hits > 0
+
+
+class TestLazySpace:
+    """``result.space`` is evaluated on first read, with the bits the
+    materialized pipeline produced, and nothing else builds it."""
+
+    def test_paper_space_matches_materialized_columns(self):
+        scenario = Scenario(workload="ep", stages=("frontier",))
+        ctx = RunContext(seed=0)
+        result = run_scenario(scenario, ctx)
+        assert result.num_configurations == 36_380
+        _, space = oracle_space(scenario, ctx, result)
+        assert_spaces_identical(space, result.space)
+        assert result.space is result.space  # built once
+
+    def test_three_type_space_matches_materialized_columns(self):
+        scenario = Scenario(**THREE_TYPE)
+        ctx = three_type_ctx()
+        result = run_scenario(scenario, ctx)
+        _, space = oracle_space(scenario, ctx, result)
+        assert_spaces_identical(space, result.space)
+
+    def test_summary_never_builds_the_space(self, monkeypatch):
+        ctx = RunContext(seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole space was built")
+
+        monkeypatch.setattr(ctx, "space_groups", refuse)
+        result = run_scenario(small_scenario(), ctx)
+        assert result.num_configurations == 3 * 20 + 3 * 18 + 3 * 20 * 3 * 18
+        summary = result.summary()
+        assert summary["configurations"] == result.num_configurations
+        with pytest.raises(AssertionError, match="whole space"):
+            result.space
+
+    def test_searched_runs_have_no_space(self):
+        scenario = small_scenario(
+            stages=("frontier",),
+            search={"strategy": "random", "budget_rows": 50, "seed": 1},
+        )
+        result = run_scenario(scenario, RunContext(seed=0))
+        assert result.space is None
+        assert result.num_configurations == result.reduced.total_rows
 
 
 class TestMemoryAccounting:
@@ -143,20 +221,21 @@ class TestMemoryAccounting:
         def sink(event, payload):
             events.append((event, payload))
 
-        materialized, streaming = scenario_pair(stages=("frontier",))
-        run_scenario(materialized, RunContext(seed=0, sinks=(sink,)))
-        modes = {
-            p["mode"]: p for e, p in events if e == "space.memory"
-        }
-        assert modes["materialized"]["peak_estimate_nbytes"] > 0
-
-        events.clear()
-        run_scenario(streaming, RunContext(seed=0, sinks=(sink,)))
+        scenario = small_scenario(stages=("frontier",))
+        run_scenario(scenario, RunContext(seed=0, sinks=(sink,)))
         modes = {p["mode"]: p for e, p in events if e == "space.memory"}
         streamed = modes["streaming"]
         assert streamed["budget_mb"] == 1.0
         # The point of streaming: the held block is far below the space.
         assert streamed["peak_estimate_nbytes"] < streamed["full_nbytes"]
+
+        events.clear()
+        searched = scenario.with_(
+            search={"strategy": "random", "budget_rows": 50, "seed": 1}
+        )
+        run_scenario(searched, RunContext(seed=0, sinks=(sink,)))
+        modes = {p["mode"]: p for e, p in events if e == "space.memory"}
+        assert modes["searched"]["rows"] == 50
 
 
 class TestExecutorIterator:

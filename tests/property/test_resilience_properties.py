@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.regions import analyze_regions_reduced
 from repro.engine.context import RunContext
 from repro.engine.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.engine.runner import run_scenario
@@ -29,7 +28,6 @@ TWO_TYPE = Scenario(
     max_b=5,
     stages=("frontier", "regions", "queueing"),
     utilizations=(0.25,),
-    space_mode="streaming",
     memory_budget_mb=0.25,
     name="resume-two",
 )
@@ -43,7 +41,6 @@ THREE_TYPE = Scenario(
     ),
     stages=("frontier", "regions", "queueing"),
     utilizations=(0.25,),
-    space_mode="streaming",
     memory_budget_mb=0.25,
     name="resume-three",
 )
@@ -83,12 +80,11 @@ def _assert_identical(clean, resumed):
             assert np.array_equal(fc.times_s, fr.times_s)
             assert np.array_equal(fc.energies_j, fr.energies_j)
             assert np.array_equal(fc.indices, fr.indices)
-    clean_regions = analyze_regions_reduced(clean.reduced)
-    resumed_regions = analyze_regions_reduced(resumed.reduced)
-    assert clean_regions.has_sweet_region == resumed_regions.has_sweet_region
+    assert clean.regions.composition == resumed.regions.composition
+    assert clean.regions.has_sweet_region == resumed.regions.has_sweet_region
     assert (
-        clean_regions.has_overlap_region
-        == resumed_regions.has_overlap_region
+        clean.regions.has_overlap_region
+        == resumed.regions.has_overlap_region
     )
     assert sorted(clean.queueing) == sorted(resumed.queueing)
     for u in clean.queueing:

@@ -29,7 +29,6 @@ two_type_scenarios = st.builds(
     max_a=st.integers(1, 3),
     max_b=st.integers(1, 3),
     seed=st.integers(0, 3),
-    space_mode=st.sampled_from(["materialized", "streaming"]),
     stages=st.just(("frontier", "regions")),
 )
 

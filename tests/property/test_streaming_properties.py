@@ -17,10 +17,12 @@ from repro.core.calibration import ground_truth_params
 from repro.core.configuration import GroupSpec
 from repro.core.evaluate import evaluate_space, evaluate_space_groups
 from repro.core.pareto import ParetoFrontier, pareto_indices
-from repro.core.planner import SLO, plan_candidates
-from repro.core.regions import analyze_regions, analyze_regions_reduced
+from repro.core.planner import SLO, _candidate_items, plan_candidates
+from repro.core.reduction import undominated_settings
+from repro.core.regions import analyze_regions, regions_from_composition
 from repro.core.streaming import (
     FrontierReducer,
+    TopKReducer,
     block_row_bytes,
     count_space_rows,
     iter_space_blocks,
@@ -208,7 +210,9 @@ class TestReducedArtifacts:
         # Region labels: composition-driven analysis must agree label
         # for label with the materialized regions stage.
         materialized = analyze_regions(space, frontier)
-        streamed = analyze_regions_reduced(reduced)
+        streamed = regions_from_composition(
+            reduced.frontier, tuple(reduced.composition), reduced.num_groups
+        )
         assert materialized.composition == streamed.composition
         for name in ("sweet", "overlap"):
             m, s = getattr(materialized, name), getattr(streamed, name)
@@ -254,17 +258,35 @@ class TestPlannerTopK:
             max_high=max_high,
             use_reduction=use_reduction,
         )
-        materialized = plan_candidates(
-            ARM_CORTEX_A9, AMD_K10, PARAMS, UNITS, slo, **kwargs
+        # The oracle ranks every row of the materialized space at once.
+        settings = [None, None]
+        if use_reduction:
+            settings = [
+                list(undominated_settings(spec, PARAMS[spec.name]).kept)
+                for spec in (ARM_CORTEX_A9, AMD_K10)
+            ]
+        oracle_space = evaluate_space(
+            ARM_CORTEX_A9, max_low, AMD_K10, max_high, PARAMS, UNITS,
+            settings_a=settings[0], settings_b=settings[1],
         )
+        topk = TopKReducer(k)
+        topk.update(
+            _candidate_items(
+                oracle_space, 0, ARM_CORTEX_A9, AMD_K10, slo, None, None, 20.0
+            )
+        )
+        materialized = [plan for _, plan in topk.finish()]
         budget_mb = (
             max_block_rows * block_row_bytes(2) / (1 << 20)
         )
         streamed = plan_candidates(
             ARM_CORTEX_A9, AMD_K10, PARAMS, UNITS, slo,
-            space_mode="streaming", memory_budget_mb=budget_mb, **kwargs
+            memory_budget_mb=budget_mb, **kwargs
         )
         assert materialized == streamed
+        assert plan_candidates(
+            ARM_CORTEX_A9, AMD_K10, PARAMS, UNITS, slo, **kwargs
+        ) == materialized
 
 
 class TestStreamingFrontierHelper:

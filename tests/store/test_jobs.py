@@ -240,6 +240,56 @@ class TestReclaim:
         assert queue.get(job["id"])["state"] == "leased"
 
 
+def _strict_loads(text):
+    """``json.loads`` that rejects NaN and infinities, as strict JSON does."""
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _raw_column(store, job_id, column):
+    with store.transaction() as conn:
+        (raw,) = conn.execute(
+            f"SELECT {column} FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
+    return raw
+
+
+class TestStrictJson:
+    """Stored results and errors are strict JSON: a non-finite number is
+    refused before the row changes, never written as ``NaN``."""
+
+    def test_complete_refuses_a_non_finite_result(self, store, queue):
+        job, _ = queue.enqueue(SPEC)
+        queue.lease("w")
+        queue.mark_running(job["id"], "w")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            queue.complete(job["id"], "w", {"energy_j": float("nan")})
+        assert queue.get(job["id"])["state"] == "running"
+        assert _raw_column(store, job["id"], "result_json") is None
+        assert queue.complete(job["id"], "w", {"energy_j": 1.5})
+        assert _strict_loads(_raw_column(store, job["id"], "result_json")) == {
+            "energy_j": 1.5
+        }
+
+    def test_fail_refuses_a_non_finite_error(self, store, queue):
+        job, _ = queue.enqueue(SPEC)
+        queue.lease("w")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            queue.fail(job["id"], "w", {"bound": float("inf")}, retryable=False)
+        assert queue.get(job["id"])["state"] == "leased"
+        assert _raw_column(store, job["id"], "error_json") is None
+
+    def test_lease_expiry_error_is_strict_json(self, store, queue):
+        job, _ = queue.enqueue(SPEC, max_attempts=1)
+        queue.lease("w", lease_s=0.01)
+        time.sleep(0.05)
+        queue.reclaim_expired()
+        error = _strict_loads(_raw_column(store, job["id"], "error_json"))
+        assert error["type"] == "LeaseExpired"
+        assert error["retryable"] is False
+
+
 class TestCancel:
     def test_queued_job_cancels_immediately(self, queue):
         job, _ = queue.enqueue(SPEC)

@@ -200,3 +200,25 @@ class TestEndpoints:
                         "UPDATE artifacts SET state = 'fresh' "
                         "WHERE state = 'stale'"
                     )
+
+
+class TestStrictJsonResponses:
+    def test_non_finite_body_answers_500_with_strict_json(
+        self, server, monkeypatch
+    ):
+        from repro.service.server import ServiceState
+
+        monkeypatch.setattr(
+            ServiceState, "readiness",
+            lambda self: {"ready": True, "load": float("nan")},
+        )
+        port, _ = server
+        try:
+            urllib.request.urlopen(f"http://127.0.0.1:{port}/ready")
+        except urllib.error.HTTPError as exc:
+            status, raw = exc.code, exc.read().decode()
+        else:  # pragma: no cover - the request must not succeed
+            pytest.fail("a NaN body was served with status 200")
+        assert status == 500
+        body = json.loads(raw, parse_constant=pytest.fail)  # strict JSON
+        assert "JSON compliant" in body["error"]

@@ -38,7 +38,7 @@ def streaming_job(name):
     """A streaming job whose memory budget splits it into blocks."""
     return Scenario(
         workload="ep", max_a=3, max_b=3, stages=("frontier",),
-        space_mode="streaming", memory_budget_mb=0.002, name=name,
+        memory_budget_mb=0.002, name=name,
     )
 
 
@@ -118,13 +118,14 @@ class TestExecution:
 
     def test_parent_job_with_chunk_rows_runs(self, store, queue):
         # The parent's row pins ``chunk_rows: 4`` and carries
-        # ``simulation``; its checkpoint was cut under that 4-row plan,
-        # which the memory budget no longer produces.  The checkpoint is
-        # discarded, not fatal, and the job runs from its first block.
+        # ``simulation`` and ``space_mode``; its checkpoint was cut under
+        # that 4-row plan, which the memory budget no longer produces.
+        # The checkpoint is discarded, not fatal, and the job runs from
+        # its first block.
         old_json = PARENT_JOB.read_text()
         current = Scenario(**{
             k: v for k, v in json.loads(old_json).items()
-            if k not in ("chunk_rows", "simulation")
+            if k not in ("chunk_rows", "simulation", "space_mode")
         })
         job, _ = queue.enqueue(old_json, scenario_name=current.name)
         ckpt_dir = job_checkpoint_dir(store, job["id"])
@@ -152,6 +153,52 @@ class TestExecution:
         ]
         reduced = [p for e, p in events if e == "space.reduced"]
         assert reduced and reduced[0]["resumed_from_block"] == 0
+
+    def test_second_job_loads_its_space_from_the_store(self, store, queue):
+        """Every job checkpoints, yet a stored space is still read: the
+        re-posted exhaustive scenario evaluates no row."""
+        events = []
+        supervisor = Supervisor(
+            store, worker_id="w",
+            on_event=lambda event, **payload: events.append((event, payload)),
+        )
+        first, _ = queue.enqueue(TINY.to_json())
+        assert supervisor.run_until_idle() == 1
+        rows = [p["rows"] for e, p in events if e == "space.reduced"]
+        assert rows and rows[0] > 0
+        assert queue.get(first["id"])["result"]["stage_statuses"][
+            "space"] == "computed"
+
+        events.clear()
+        second, _ = queue.enqueue(TINY.to_json())
+        assert supervisor.run_until_idle() == 1
+        finished = queue.get(second["id"])
+        assert finished["state"] == "done"
+        assert finished["result"]["stage_statuses"]["space"] == "stored"
+        assert not [e for e, _ in events
+                    if e in ("space.reduced", "space.evaluated")]
+
+    def test_non_finite_result_fails_permanently(
+        self, store, queue, monkeypatch
+    ):
+        from repro.engine.runner import ScenarioResult
+
+        monkeypatch.setattr(
+            ScenarioResult, "summary",
+            lambda self: {"configurations": float("nan")},
+        )
+        job, _ = queue.enqueue(TINY.to_json())
+        Supervisor(store, worker_id="w").run_until_idle()
+        finished = queue.get(job["id"])
+        assert finished["state"] == "failed"
+        assert finished["result"] is None
+        assert finished["error"]["type"] == "ValueError"
+        assert finished["error"]["retryable"] is False
+        with store.transaction() as conn:
+            (raw,) = conn.execute(
+                "SELECT error_json FROM jobs WHERE id = ?", (job["id"],)
+            ).fetchone()
+        json.loads(raw, parse_constant=pytest.fail)  # strict JSON
 
     def test_cancelled_job_is_not_executed(self, store, queue):
         job, _ = queue.enqueue(TINY.to_json())
@@ -338,8 +385,8 @@ class TestRecovery:
         assert job_checkpoint_dir(store, job["id"]).exists()
 
     def test_streaming_job_gets_a_checkpoint_dir(self, store, queue):
-        """Streaming scenarios checkpoint under the store's jobs/ tree;
-        the prefix is cleaned up once the job completes."""
+        """Every job checkpoints under the store's jobs/ tree; the
+        prefix is cleaned up once the job completes."""
         streaming = streaming_job("stream")
         assert planned_blocks(streaming) > 1
         job, _ = queue.enqueue(streaming.to_json())

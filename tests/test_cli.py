@@ -178,45 +178,70 @@ class TestScenarioArtifact:
 
 
 class TestStreamingFlags:
-    def test_fig4_streaming_matches_materialized_summary(self, capsys):
-        assert main(["fig4"]) == 0
-        materialized = capsys.readouterr().out
-        assert main(["fig4", "--space-mode", "streaming",
-                     "--memory-budget-mb", "2"]) == 0
-        streaming = capsys.readouterr().out
-        assert streaming == materialized  # same counts, frontier, regions
-
-    def test_fig4_streaming_csv_exports_frontier(self, tmp_path, capsys):
-        csv = tmp_path / "fig4.csv"
-        assert main(["fig4", "--space-mode", "streaming",
-                     "--csv", str(csv)]) == 0
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "time_ms,energy_j,n_arm,n_amd"
-        assert 1 < len(lines) < 100  # frontier rows, not the 36k cloud
-
-    def test_scenario_streaming_with_spill(self, tmp_path, capsys):
+    def _scenario_file(self, tmp_path, **kw):
         from repro.engine import Scenario
 
         path = tmp_path / "exp.json"
-        path.write_text(
-            Scenario(workload="ep", max_a=2, max_b=2,
-                     stages=("frontier",)).to_json()
+        path.write_text(Scenario(workload="ep", **kw).to_json())
+        return path
+
+    def test_fig4_streaming_matches_materialized_summary(
+        self, tmp_path, capsys
+    ):
+        # fig4 materializes its cloud; the scenario streams the space.
+        assert main(["fig4"]) == 0
+        materialized = capsys.readouterr().out
+        path = self._scenario_file(tmp_path)
+        assert main(["scenario", "--file", str(path),
+                     "--memory-budget-mb", "2"]) == 0
+        streamed = capsys.readouterr().out
+        for row in ("frontier points", "fastest deadline [ms]",
+                    "min energy [J]", "sweet region", "overlap region"):
+            (expected,) = [ln for ln in materialized.splitlines()
+                           if ln.startswith(row)]
+            assert expected.split("|")[1].strip() in [
+                ln.split("|")[1].strip() for ln in streamed.splitlines()
+                if ln.startswith(row)
+            ], row
+
+    def test_scenario_csv_exports_frontier(self, tmp_path, capsys):
+        path = self._scenario_file(tmp_path)
+        csv = tmp_path / "frontier.csv"
+        assert main(["scenario", "--file", str(path),
+                     "--csv", str(csv)]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "time_ms,energy_j,n_a,n_b"
+        assert 1 < len(lines) < 100  # frontier rows, not the 36k cloud
+
+    def test_scenario_streaming_with_spill(self, tmp_path, capsys):
+        path = self._scenario_file(
+            tmp_path, max_a=2, max_b=2, stages=("frontier",)
         )
         spill = tmp_path / "spill"
+        csv = tmp_path / "cloud.csv"
         assert main(
-            ["scenario", "--file", str(path), "--space-mode", "streaming",
-             "--memory-budget-mb", "1", "--spill-dir", str(spill)]
+            ["scenario", "--file", str(path), "--memory-budget-mb", "1",
+             "--spill-dir", str(spill), "--csv", str(csv)]
         ) == 0
         out = capsys.readouterr().out
-        assert "streaming" in out
+        assert "space mode" not in out
         assert (spill / "meta.json").exists()
         assert (spill / "times_s.npy").exists()
+        # The spill kept the whole cloud, so the CSV carries every row.
+        rows = 2 * 20 + 2 * 18 + 2 * 20 * 2 * 18
+        assert len(csv.read_text().splitlines()) == 1 + rows
+        assert f"{rows:,}" in out
 
     def test_fig10_streaming(self, capsys):
         assert main(["fig10"]) == 0
-        materialized = capsys.readouterr().out
-        assert main(["fig10", "--space-mode", "streaming"]) == 0
-        assert capsys.readouterr().out == materialized
+        default = capsys.readouterr().out
+        assert main(["fig10", "--memory-budget-mb", "0.05"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_space_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig4", "--space-mode", "streaming"])
+        assert "--space-mode" in capsys.readouterr().err
 
 
 class TestStoreFlags:
@@ -285,6 +310,7 @@ class TestRetiredFieldsReachUsers:
         assert err.count("chunk_rows") == 1
         assert "the memory budget alone sizes streaming blocks" in err
         assert "reduce_at" in err and "simulation" in err
+        assert "space_mode" in err
 
     def test_serve_logs_retired_fields_of_a_posted_run(self, tmp_path):
         proc = _repro_process(
