@@ -38,9 +38,7 @@ space.
 ``--pr 6`` (the pluggable execution backends) records:
 
 * **backend matrix** -- the same ~1.6M-row four-type space evaluated
-  chunked through every backend: ``serial``, ``process_pool`` (result
-  pipe), ``process_pool`` with the shared-memory fast path, and
-  ``tcp_remote`` against two spawned localhost worker agents --
+  chunked through every backend, ``serial`` and ``process_pool`` --
   rows/second per backend, column stacks bit-for-bit equality-checked
   against the in-process whole-space evaluation first.
 
@@ -48,11 +46,10 @@ space.
 
 * **worker reduce** -- the same ~1.6M-row space stream-reduced end to
   end, each block folded by the task that evaluated it, through one
-  call per backend: ``serial``, ``process_pool``, ``process_pool`` +
-  shared memory, and ``tcp_remote`` (two localhost agents), reduced
-  artifacts equality-checked bit-for-bit first.  On machines with >= 2
-  CPUs the record doubles as a regression guard: the best parallel
-  backend must not be slower than serial (exit code 1 otherwise).
+  call per backend: ``serial`` and ``process_pool``, reduced artifacts
+  equality-checked bit-for-bit first.  On machines with >= 2 CPUs the
+  record doubles as a regression guard: the best parallel backend must
+  not be slower than serial (exit code 1 otherwise).
 
 ``--pr 9`` (pluggable space exploration) records:
 
@@ -310,14 +307,11 @@ def bench_backend_matrix(repeats: int, budget_mb: float = 64.0) -> Dict:
     """Every execution backend over the four-type space, one truth.
 
     The ~1.6M-row space is evaluated chunked (blocks sized by a
-    ``budget_mb`` memory budget and each backend's worker count) through ``serial``, ``process_pool`` (result pipe), ``process_pool``
-    with the shared-memory fast path, and ``tcp_remote`` against two
-    spawned localhost worker agents.  Each backend's column stacks are
+    ``budget_mb`` memory budget and each backend's worker count) through
+    ``serial`` and ``process_pool``.  Each backend's column stacks are
     equality-checked bit-for-bit against the in-process whole-space
     evaluation before anything is timed, so the recorded throughputs all
-    describe the *same* computation.  The remote fleet is the shared
-    process-wide instance, so its spawn cost is paid once, outside the
-    timed passes.
+    describe the *same* computation.
     """
     from repro.core.evaluate import evaluate_space_groups
     from repro.engine.executor import (
@@ -336,11 +330,6 @@ def bench_backend_matrix(repeats: int, budget_mb: float = 64.0) -> Dict:
     configs = {
         "serial": ("serial", None),
         "process_pool": ("process_pool", {"workers": 2}),
-        "process_pool_shm": (
-            "process_pool",
-            {"workers": 2, "shared_memory": True},
-        ),
-        "tcp_remote_2workers": ("tcp_remote", {"spawn_workers": 2}),
     }
 
     def run(name, options):
@@ -365,8 +354,6 @@ def bench_backend_matrix(repeats: int, budget_mb: float = 64.0) -> Dict:
             "rows_per_s": rows / elapsed,
         }
 
-    pipe_s = results["process_pool"]["elapsed_s"]
-    shm_s = results["process_pool_shm"]["elapsed_s"]
     return {
         "label": (
             f"four-type space, {rows} rows (EP, 4x3x3x3), {budget_mb:g} MB "
@@ -377,12 +364,9 @@ def bench_backend_matrix(repeats: int, budget_mb: float = 64.0) -> Dict:
         "memory_budget_mb": budget_mb,
         "serial_blocks": serial_blocks,
         "backends": results,
-        "shm_vs_pipe_speedup": pipe_s / shm_s,
         "detail": (
             "evaluate_space_groups_chunked per backend vs whole-space "
-            "evaluate_space_groups, bit-for-bit equality-checked first; "
-            "tcp_remote runs 2 spawned localhost agents (spawn cost "
-            "outside the timed passes)"
+            "evaluate_space_groups, bit-for-bit equality-checked first"
         ),
     }
 
@@ -394,12 +378,10 @@ def bench_worker_reduce(repeats: int) -> Dict:
     evaluate blocks, fold frontiers/per-group frontiers in the block
     task, merge the shipped reducer states in plan order -- through one
     call per backend: ``serial`` (one in-process worker), then
-    ``process_pool`` (result pipe), ``process_pool`` with the
-    shared-memory fast path, and ``tcp_remote`` against two spawned
-    localhost agents.  Every parallel run's reduced artifacts (frontier
-    with indices, per-group frontiers, composition labels) are
-    equality-checked bit-for-bit against the serial reference before
-    anything is timed.
+    ``process_pool`` with two workers.  The pool run's reduced
+    artifacts (frontier with indices, per-group frontiers, composition
+    labels) are equality-checked bit-for-bit against the serial
+    reference before anything is timed.
 
     The record carries ``cpu_count`` and a ``guard`` verdict: on a
     multi-core machine the best parallel backend must beat serial
@@ -455,11 +437,6 @@ def bench_worker_reduce(repeats: int) -> Dict:
 
     configs = {
         "process_pool": ("process_pool", {"workers": 2}),
-        "process_pool_shm": (
-            "process_pool",
-            {"workers": 2, "shared_memory": True},
-        ),
-        "tcp_remote_2workers": ("tcp_remote", {"spawn_workers": 2}),
     }
     results: Dict[str, Dict] = {}
     serial_s = _best_of(serial, repeats)
@@ -493,7 +470,7 @@ def bench_worker_reduce(repeats: int) -> Dict:
         "guard": {
             "target": (
                 "best parallel backend >= 1.0x serial (>= 1.5x expected "
-                "for process_pool/shm on >= 2 free cores)"
+                "for process_pool on >= 2 free cores)"
             ),
             "enforced": enforced,
             "passed": (not enforced) or speedup >= 1.0,

@@ -41,7 +41,7 @@ Subpackages
 ``repro.engine``
     The experiment engine: declarative :class:`Scenario` descriptions,
     a :class:`RunContext` with content-addressed caching and pluggable
-    execution backends (serial, process pool, TCP remote workers), and
+    execution backends (serial, process pool), and
     :func:`run_scenario` executing the pipeline as an explicit stage
     graph -- calibrate -> configuration space -> analyses -- with
     content-addressed per-stage identities.

@@ -227,13 +227,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "process_pool", "tcp_remote"],
         default=None,
         help="execution backend for the engine's fan-outs: 'serial' "
-        "(in-process), 'process_pool' (single-host pool, the default "
-        "auto-selection), or 'tcp_remote' (tasks shipped to worker "
-        "agents; see python -m repro.engine.remote_worker).  Artifacts "
-        "are bit-identical across backends",
+        "(in-process) or 'process_pool' (single-host pool, the default "
+        "auto-selection).  Artifacts are bit-identical across backends",
     )
     parser.add_argument(
         "--backend-option",
@@ -241,17 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="KEY=VALUE",
         help="backend option (repeatable), e.g. "
-        "--backend-option shared_memory=true or "
-        "--backend-option spawn_workers=4; values parse as JSON with a "
+        "--backend-option workers=4; values parse as JSON with a "
         "plain-string fallback",
-    )
-    parser.add_argument(
-        "--worker-hosts",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="comma-separated worker agents for the tcp_remote backend "
-        "(shorthand for --backend tcp_remote "
-        "--backend-option worker_hosts=...)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -472,12 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend_options[key] = _json.loads(value)
         except ValueError:
             backend_options[key] = value
-    if args.worker_hosts is not None:
-        backend_options.setdefault("worker_hosts", args.worker_hosts)
-        if backend is None:
-            backend = "tcp_remote"
-        elif backend != "tcp_remote":
-            parser.error("--worker-hosts requires --backend tcp_remote")
     if backend_options and backend is None:
         parser.error("--backend-option requires --backend")
     if backend is not None:

@@ -18,10 +18,9 @@ on top.  This package is the one place that pipeline is wired:
   on-disk tier (conventionally ``results/.cache/``), checksummed and
   self-quarantining;
 * :mod:`repro.engine.backends` -- the pluggable execution-backend
-  registry (``serial``, ``process_pool``, ``tcp_remote``) every
-  executor entry point resolves through; backends are selected by
-  name, per :class:`Scenario`, per :class:`RunContext`, or via the
-  ``REPRO_BACKEND`` environment variable, and all of them produce
+  registry (``serial``, ``process_pool``) every executor entry point
+  resolves through; backends are selected by name, per
+  :class:`Scenario` or per :class:`RunContext`, and all of them produce
   bit-identical artifacts;
 * :mod:`repro.engine.resilience` / :mod:`repro.engine.faults` /
   :mod:`repro.engine.checkpoint` -- the fault-tolerance layer: retries
@@ -39,7 +38,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     backend_class,
     backend_names,
-    close_shared_backends,
     create_backend,
     register_backend,
     resolve_backend,
@@ -82,7 +80,6 @@ __all__ = [
     "ExecutionBackend",
     "backend_class",
     "backend_names",
-    "close_shared_backends",
     "create_backend",
     "register_backend",
     "resolve_backend",

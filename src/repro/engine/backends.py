@@ -4,7 +4,7 @@ Everything the engine runs in parallel -- chunked space evaluation,
 streamed block sources, replication maps -- flows through one abstract
 :class:`ExecutionBackend`.  A backend is *where tasks run*; the plan
 (which blocks exist, in what order) and the artifacts (bit-identical
-however the blocks were computed) belong to the caller.  Three
+however the blocks were computed) belong to the caller.  Two
 implementations ship:
 
 ``serial``
@@ -13,23 +13,13 @@ implementations ship:
 ``process_pool``
     The historical ``concurrent.futures`` process pool, with the full
     resilience stack (retry, dead-worker pool replacement, timeouts,
-    serial degradation).  ``shared_memory=True`` adds a single-host
-    fast path: block results travel through
-    :mod:`multiprocessing.shared_memory` segments instead of the result
-    pipe (see :mod:`repro.engine.shm`), skipping the pickle round-trip
-    for the columnar arrays.
-``tcp_remote``
-    Block tasks shipped to worker agents on other hosts over a
-    length-prefixed socket protocol (:mod:`repro.engine.remote`), with
-    heartbeat-timeout liveness standing in for ``BrokenProcessPool``:
-    a vanished worker triggers the same typed retry/replacement path.
+    serial degradation).
 
 Selection is threaded end to end: ``Scenario.backend`` /
 ``backend_options`` (excluded from the cache identity -- artifacts are
-bit-identical across backends), ``RunContext(backend=...)``, CLI
-``--backend/--backend-option/--worker-hosts``, and the ``REPRO_BACKEND``
-environment variable (with ``REPRO_BACKEND_OPTIONS`` as a JSON dict) for
-running an unmodified test suite against a different backend.
+bit-identical across backends), ``RunContext(backend=...)``, and CLI
+``--backend/--backend-option``.  Further backends plug in through
+:func:`register_backend`.
 
 Every backend passes one shared conformance suite
 (``tests/engine/test_backends.py``): plan-order delivery, bit-identical
@@ -39,10 +29,7 @@ outputs, fault-plan recovery, idempotent teardown.
 from __future__ import annotations
 
 import abc
-import atexit
-import json
 import os
-import threading
 from typing import (
     Any,
     Callable,
@@ -64,14 +51,6 @@ from repro.engine.resilience import (
     ResiliencePolicy,
     iter_tasks_resilient,
 )
-
-#: Environment variable naming the default backend (same values as
-#: ``Scenario.backend``); ``REPRO_BACKEND_OPTIONS`` may hold a JSON dict
-#: of backend options.  Used by the CI matrix leg that replays the whole
-#: tier-1 suite over ``tcp_remote`` localhost workers.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-BACKEND_OPTIONS_ENV_VAR = "REPRO_BACKEND_OPTIONS"
-
 
 def default_max_workers() -> int:
     """Worker count when the caller does not pin one."""
@@ -113,22 +92,12 @@ class ExecutionBackend(abc.ABC):
       degrades to in-process serial rather than failing the run;
     * :meth:`close` is idempotent and leak-free -- after it returns, no
       worker process started by this backend is still alive.
-
-    Class attributes double as capability flags: ``supports_shared_memory``
-    (results can travel out-of-band) and ``is_remote`` (workers live in
-    other processes/hosts that must be able to ``import repro``).
     """
 
     #: Registry key; subclasses override.
     name: ClassVar[str] = ""
     #: Accepted constructor options, option name -> short description.
     options: ClassVar[Mapping[str, str]] = {}
-    #: Whether results can bypass the pickle pipe on this backend.
-    supports_shared_memory: ClassVar[bool] = False
-    #: Whether tasks leave this host (workers need an importable repro).
-    is_remote: ClassVar[bool] = False
-    #: Whether instances hold live resources worth sharing process-wide.
-    stateful: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self._closed = False
@@ -205,7 +174,7 @@ class ExecutionBackend(abc.ABC):
         return self._closed
 
     def close(self) -> None:
-        """Release workers/sockets.  Idempotent; safe to call twice."""
+        """Release workers.  Idempotent; safe to call twice."""
         self._closed = True
 
     def __enter__(self) -> "ExecutionBackend":
@@ -223,8 +192,6 @@ class ExecutionBackend(abc.ABC):
 # ---------------------------------------------------------------------------
 
 _REGISTRY: Dict[str, Type[ExecutionBackend]] = {}
-_SHARED: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], ExecutionBackend] = {}
-_SHARED_LOCK = threading.Lock()
 
 
 def register_backend(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
@@ -237,13 +204,11 @@ def register_backend(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
 
 def backend_names() -> List[str]:
     """Registered backend names, sorted."""
-    _ensure_builtin_backends()
     return sorted(_REGISTRY)
 
 
 def backend_class(name: str) -> Type[ExecutionBackend]:
     """The registered class for ``name``, or a naming ``ValueError``."""
-    _ensure_builtin_backends()
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown execution backend {name!r}; available: {sorted(_REGISTRY)}"
@@ -287,67 +252,6 @@ def create_backend(
     return cls(**opts)
 
 
-def _options_fingerprint(options: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(
-        (k, tuple(v) if isinstance(v, (list, tuple)) else v)
-        for k, v in sorted(options.items())
-    )
-
-
-def shared_backend(
-    name: str,
-    options: Optional[Mapping[str, Any]] = None,
-    max_workers: Optional[int] = None,
-) -> ExecutionBackend:
-    """A process-wide instance of backend ``name`` for these options.
-
-    Stateless backends are constructed fresh (cheap, nothing to share);
-    stateful ones (``tcp_remote`` keeps spawned workers and sockets) are
-    cached so repeated runs reuse the same worker fleet, and closed at
-    interpreter exit so no worker outlives the process.
-    """
-    cls = backend_class(name)
-    if not cls.stateful:
-        return create_backend(name, options, max_workers=max_workers)
-    opts = validate_backend_options(name, options or {})
-    if max_workers is not None and "workers" in cls.options and "workers" not in opts:
-        opts["workers"] = validate_workers(max_workers, name="max_workers")
-    key = (name, _options_fingerprint(opts))
-    with _SHARED_LOCK:
-        backend = _SHARED.get(key)
-        if backend is None or backend.closed:
-            backend = cls(**opts)
-            _SHARED[key] = backend
-    return backend
-
-
-def close_shared_backends() -> None:
-    """Tear down every cached shared backend (idempotent)."""
-    with _SHARED_LOCK:
-        backends = list(_SHARED.values())
-        _SHARED.clear()
-    for backend in backends:
-        backend.close()
-
-
-atexit.register(close_shared_backends)
-
-
-def _env_backend() -> Tuple[Optional[str], Dict[str, Any]]:
-    """Backend (name, options) requested through the environment."""
-    name = os.environ.get(BACKEND_ENV_VAR) or None
-    options: Dict[str, Any] = {}
-    raw = os.environ.get(BACKEND_OPTIONS_ENV_VAR)
-    if name is not None and raw:
-        try:
-            options = dict(json.loads(raw))
-        except (ValueError, TypeError):
-            raise ValueError(
-                f"{BACKEND_OPTIONS_ENV_VAR} must be a JSON object, got {raw!r}"
-            ) from None
-    return name, options
-
-
 def resolve_backend(
     backend: Optional[Any] = None,
     options: Optional[Mapping[str, Any]] = None,
@@ -357,11 +261,8 @@ def resolve_backend(
 
     ``backend`` may be an :class:`ExecutionBackend` instance (used as
     is; the caller owns its lifecycle), a registered name, or ``None``
-    -- which consults ``REPRO_BACKEND`` and finally falls back to the
-    historical heuristic: ``process_pool`` sized by ``max_workers``
-    (``serial`` when that pins a single worker).  Named/env selections
-    come from :func:`shared_backend`, so a stateful backend's workers
-    are reused across calls and reaped at exit.
+    -- the historical heuristic: ``process_pool`` sized by
+    ``max_workers`` (``serial`` when that pins a single worker).
     """
     if isinstance(backend, ExecutionBackend):
         if options:
@@ -376,19 +277,13 @@ def resolve_backend(
             f"got {type(backend).__name__}"
         )
     name = backend
-    merged: Dict[str, Any] = dict(options or {})
-    if name is None:
-        env_name, env_options = _env_backend()
-        if env_name is not None:
-            name = env_name
-            merged = {**env_options, **merged}
     if name is None:
         workers = (
             default_max_workers() if max_workers is None
             else validate_workers(max_workers, name="max_workers")
         )
         name = "serial" if workers <= 1 else "process_pool"
-    return shared_backend(name, merged, max_workers=max_workers)
+    return create_backend(name, options, max_workers=max_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -448,36 +343,19 @@ class ProcessPoolBackend(ExecutionBackend):
     replacement/serial degradation -- with pools created per fan-out and
     torn down when it completes or is abandoned (the instance itself
     holds no processes, so ``close()`` has nothing to leak).
-
-    ``shared_memory=True`` routes block results through
-    :mod:`repro.engine.shm`: workers park the columnar arrays in one
-    POSIX shared-memory segment each and ship back a tiny descriptor,
-    skipping the pickle round-trip on single-host many-core runs.
-    Results are bit-identical either way.
     """
 
     name = "process_pool"
     options: ClassVar[Mapping[str, str]] = {
         "workers": "pool width (positive int; default: auto-sized)",
-        "shared_memory": "ship block results via shared memory (bool)",
     }
-    supports_shared_memory = True
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        shared_memory: bool = False,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         super().__init__()
         self.workers = (
             default_max_workers() if workers is None
             else validate_workers(workers)
         )
-        if not isinstance(shared_memory, bool):
-            raise ValueError(
-                f"shared_memory must be a bool, got {shared_memory!r}"
-            )
-        self.shared_memory = shared_memory
 
     @property
     def parallelism(self) -> int:
@@ -506,15 +384,8 @@ class ProcessPoolBackend(ExecutionBackend):
             install_job(job)
             initializer = install_job
             initargs = (job,)
-        task_fn = fn
-        decode = None
-        if self.shared_memory:
-            from repro.engine.shm import ShmTaskWrapper, decode_shared
-
-            task_fn = ShmTaskWrapper(fn)
-            decode = decode_shared
-        for index, result in iter_tasks_resilient(
-            task_fn,
+        return iter_tasks_resilient(
+            fn,
             args_list,
             max_workers=self.workers,
             window=window,
@@ -524,11 +395,4 @@ class ProcessPoolBackend(ExecutionBackend):
             start_index=start_index,
             initializer=initializer,
             initargs=initargs,
-        ):
-            yield index, (decode(result) if decode is not None else result)
-
-
-def _ensure_builtin_backends() -> None:
-    """Import-register backends living in their own modules."""
-    if "tcp_remote" not in _REGISTRY:
-        from repro.engine import remote  # noqa: F401  (registers itself)
+        )

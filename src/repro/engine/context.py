@@ -19,8 +19,7 @@ evaluation, frontier/region/queueing analysis -- runs *through* a
 * **reporting sinks**: callables receiving ``(event, payload)`` pairs as
   stages start and finish, for progress lines, logging, or test capture;
 * **the executor knobs**: worker counts and the execution backend
-  (serial / process pool / TCP remote, see
-  :mod:`repro.engine.backends`) for chunked space evaluation and
+  (serial / process pool, see :mod:`repro.engine.backends`) for chunked space evaluation and
   replication fan-out.
 
 Use :func:`default_context` for the shared process-wide context (what the
@@ -137,12 +136,11 @@ class RunContext:
         share one memoization surface.
     backend, backend_options:
         Default execution backend for every fan-out this context runs --
-        a registered name (``"serial"``, ``"process_pool"``,
-        ``"tcp_remote"``), an :class:`~repro.engine.backends.ExecutionBackend`
-        instance, or ``None`` for the historical auto-selection (see
-        :func:`repro.engine.backends.resolve_backend`; the
-        ``REPRO_BACKEND`` environment variable is honored).  Artifacts
-        and cache keys are bit-identical across backends.
+        a registered name (``"serial"``, ``"process_pool"``), an
+        :class:`~repro.engine.backends.ExecutionBackend` instance, or
+        ``None`` for the historical auto-selection (see
+        :func:`repro.engine.backends.resolve_backend`).  Artifacts and
+        cache keys are bit-identical across backends.
     """
 
     def __init__(
@@ -621,9 +619,8 @@ class RunContext:
         """Order-preserving parallel map over independent replications.
 
         ``fn`` must be a picklable top-level callable (process pools
-        cannot ship closures -- and the remote backend additionally
-        needs it importable on the worker); execution degrades to a
-        serial map when pooling is unavailable.
+        cannot ship closures); execution degrades to a serial map when
+        pooling is unavailable.
         """
         backend, backend_options = self._backend_args(backend, backend_options)
         return _executor.parallel_map(

@@ -33,12 +33,11 @@ semantic.
 
 *Where* tasks run is delegated to a pluggable
 :class:`~repro.engine.backends.ExecutionBackend`: every fan-out accepts
-``backend``/``backend_options`` (a registered name like ``"serial"``,
-``"process_pool"``, ``"tcp_remote"``, or a ready instance) and resolves
-them through :func:`repro.engine.backends.resolve_backend` -- which
-preserves the historical default (a process pool sized by
-``max_workers``, serial when that pins one worker) and honors the
-``REPRO_BACKEND`` environment variable.  Because every backend delivers
+``backend``/``backend_options`` (a registered name like ``"serial"``
+or ``"process_pool"``, or a ready instance) and resolves them through
+:func:`repro.engine.backends.resolve_backend` -- which preserves the
+historical default (a process pool sized by ``max_workers``, serial when
+that pins one worker).  Because every backend delivers
 results in plan order and bit-identical, the choice never changes an
 artifact, only where the work happened.
 
@@ -106,8 +105,8 @@ def _plan_workers(max_workers: Optional[int], backend: ExecutionBackend) -> int:
 
     An explicit ``max_workers`` wins (and is validated -- a non-positive
     count raises instead of silently clamping); otherwise the backend's
-    parallelism decides, so e.g. a two-agent ``tcp_remote`` backend plans
-    two-chunk-minimum partitions.  The same rule feeds
+    parallelism decides, so e.g. a two-worker ``process_pool`` backend
+    plans two-chunk-minimum partitions.  The same rule feeds
     :func:`space_block_plan` and the fan-outs, keeping checkpoint plan
     fingerprints consistent with actual execution.
     """
@@ -265,9 +264,9 @@ def iter_space_groups_chunked(
     ``memory_budget_mb``.  The re-ordering is the *backend's* contract
     (:meth:`~repro.engine.backends.ExecutionBackend.submit_blocks`
     yields in plan order whatever the completion order), so the stream
-    is identical under serial, pooled, or remote execution; local
-    backends still fall back to serial in-process evaluation, mid-stream
-    if necessary, when no pool is available.
+    is identical under serial or pooled execution; a pool still falls
+    back to serial in-process evaluation, mid-stream if necessary, when
+    no pool is available.
 
     With ``reduce`` unset each item is a :class:`SpaceBlock` carrying the
     block's columns.  With ``reduce`` -- the keyword mapping of

@@ -37,21 +37,6 @@ Fault kinds
     Raise :class:`InjectedFault` in the main-process reducer loop just
     before folding block ``task`` -- the deterministic stand-in for a
     mid-stream kill, used by the checkpoint/resume tests.
-``worker_vanish``
-    Make the worker assigned task ``task`` *disappear* without a clean
-    error.  A remote worker (:mod:`repro.engine.remote_worker`) goes
-    silent -- it stops answering heartbeats while keeping its socket
-    open, exercising the heartbeat-timeout liveness path rather than the
-    EOF path -- and a process-pool worker hard-exits like ``kill``.
-    Serial execution degrades to ``crash``.  ``delay_s`` optionally caps
-    how long a remote worker stays silent before exiting (default long
-    enough to outlive any reasonable heartbeat timeout).
-``net_delay``
-    Sleep ``delay_s`` seconds *after* evaluating task ``task`` but
-    before the result is returned/sent -- injected network latency.  On
-    the remote backend the worker keeps answering heartbeats during the
-    delay, so this exercises per-task timeouts and window stalls, not
-    liveness.
 
 Attempt discipline
 ------------------
@@ -115,17 +100,10 @@ _FAULT_KINDS = (
     "delay",
     "corrupt_cache",
     "fold_error",
-    "worker_vanish",
-    "net_delay",
 )
 
 #: Fault kinds addressed by a task index.
-_TASK_KINDS = ("crash", "kill", "delay", "fold_error", "worker_vanish", "net_delay")
-
-#: How long a vanished remote worker stays silent before exiting, when
-#: the fault does not pin its own ``delay_s`` -- far beyond any sane
-#: heartbeat timeout, so the client always detects the silence first.
-VANISH_SILENCE_S = 600.0
+_TASK_KINDS = ("crash", "kill", "delay", "fold_error")
 
 
 @dataclass(frozen=True)
@@ -156,7 +134,7 @@ class FaultSpec:
             object.__setattr__(self, "task", int(self.task))
         if self.kind == "corrupt_cache" and not self.key_substring:
             raise ValueError("'corrupt_cache' fault needs a key_substring")
-        if self.kind in ("delay", "net_delay") and self.delay_s <= 0:
+        if self.kind == "delay" and self.delay_s <= 0:
             raise ValueError(f"{self.kind!r} fault needs a positive delay_s")
         if self.times < 1:
             raise ValueError("a fault must fire at least once (times >= 1)")
@@ -222,28 +200,11 @@ class FaultPlan:
         return cls.from_json(Path(path).read_text())
 
 
-#: Set by :func:`mark_worker_process` in processes that are workers but
-#: not multiprocessing children (the TCP remote worker agent).
-_EXPLICIT_WORKER = False
-
-
-def mark_worker_process() -> None:
-    """Declare this process a disposable worker (safe to hard-exit).
-
-    Multiprocessing children are detected automatically; standalone
-    worker agents (``python -m repro.engine.remote_worker``) call this at
-    startup so ``kill``/``worker_vanish`` faults take down the real
-    process instead of degrading to a clean ``crash``.
-    """
-    global _EXPLICIT_WORKER
-    _EXPLICIT_WORKER = True
-
-
 def _in_worker_process() -> bool:
     """Whether we are inside a worker process (safe to hard-exit)."""
     import multiprocessing
 
-    return _EXPLICIT_WORKER or multiprocessing.parent_process() is not None
+    return multiprocessing.parent_process() is not None
 
 
 @dataclass
@@ -271,25 +232,8 @@ class FaultInjector:
             if f.kind == "delay" and f.task == task and attempt < f.times
         )
 
-    def net_delay_s(self, task: int, attempt: int) -> float:
-        """Injected latency between evaluating ``task`` and returning it."""
-        return sum(
-            f.delay_s
-            for f in self.plan.faults
-            if f.kind == "net_delay" and f.task == task and attempt < f.times
-        )
-
-    def vanish_spec(self, task: int, attempt: int) -> Optional["FaultSpec"]:
-        """The ``worker_vanish`` fault firing on ``(task, attempt)``, if any."""
-        for f in self.plan.faults:
-            if f.kind == "worker_vanish" and f.task == task and attempt < f.times:
-                return f
-        return None
-
     def crash_mode(self, task: int, attempt: int) -> Optional[str]:
-        """``"vanish"``/``"kill"``/``"crash"`` when a fault fires, else ``None``."""
-        if self.vanish_spec(task, attempt) is not None:
-            return "vanish"
+        """``"kill"``/``"crash"`` when a fault fires, else ``None``."""
         for f in self.plan.faults:
             if f.kind == "kill" and f.task == task and attempt < f.times:
                 return "kill"
@@ -301,17 +245,14 @@ class FaultInjector:
     def on_task(self, task: int, attempt: int) -> None:
         """Executor hook: runs in the worker just before evaluating a task.
 
-        The remote worker agent intercepts ``vanish`` before dispatching
-        (it must silence its heartbeat loop, which lives outside the task
-        thread); here -- process-pool workers and serial execution --
-        ``vanish`` behaves like ``kill``: a hard exit inside a worker, a
-        clean retryable crash otherwise.
+        ``kill`` hard-exits inside a worker process and is a clean
+        retryable crash otherwise.
         """
         delay = self.task_delay_s(task, attempt)
         if delay > 0:
             time.sleep(delay)
         mode = self.crash_mode(task, attempt)
-        if mode in ("kill", "vanish") and _in_worker_process():
+        if mode == "kill" and _in_worker_process():
             os._exit(KILL_EXIT_CODE)
         if mode is not None:
             raise WorkerCrash(

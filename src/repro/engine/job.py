@@ -10,8 +10,6 @@ so they ship **once per worker**:
 
 * process pools install the job via the pool *initializer* (and fork
   inheritance covers the common Linux path for free);
-* the ``tcp_remote`` backend sends one ``job`` frame per (re)connected
-  worker channel;
 * the serial / degraded-to-serial paths install it in-process.
 
 Each task then carries only ``(job_id, block_index)`` -- a few dozen
@@ -24,8 +22,8 @@ re-runs :func:`run_block` from scratch, a block fold always restarts
 from its block's first row -- reduction state never leaks across
 attempts.
 
-The registry is a small LRU (jobs are per-fan-out, workers outlive
-fan-outs on stateful backends), keyed by an id that is unique per
+The registry is a small LRU (jobs are per-fan-out, and the coordinator
+process runs many fan-outs), keyed by an id that is unique per
 coordinator process -- routing only, never cache identity.
 """
 
@@ -47,7 +45,7 @@ from repro.core.streaming import (
     fold_block_reduction,
 )
 
-#: Jobs kept per process; one fan-out needs one, stateful backends a few.
+#: Jobs kept per process; one fan-out needs one.
 _MAX_JOBS = 8
 
 _JOBS: "OrderedDict[str, SpaceJob]" = OrderedDict()

@@ -145,18 +145,11 @@ def call_with_faults(
 
     Top-level so process pools can pickle it; the injector hook runs
     *inside* the worker, which is what lets a ``kill`` fault take down a
-    real worker process.  ``net_delay`` faults sleep *after* the
-    evaluation -- the result exists but has not been returned yet, the
-    shape of injected network latency on any backend.
+    real worker process.
     """
     if injector is not None:
         injector.on_task(task_index, attempt)
-    result = fn(*args)
-    if injector is not None:
-        net_delay = injector.net_delay_s(task_index, attempt)
-        if net_delay > 0:
-            time.sleep(net_delay)
-    return result
+    return fn(*args)
 
 
 def terminate_pool(pool: ProcessPoolExecutor) -> None:

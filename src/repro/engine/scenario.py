@@ -48,6 +48,13 @@ _RETIRED_FIELDS = {
     "space_mode": "every exhaustive run streams its space",
 }
 
+#: Backend options earlier releases stored, each with why
+#: :meth:`Scenario.from_dict` now drops it; reported under the same
+#: warning as :data:`_RETIRED_FIELDS`.
+_RETIRED_BACKEND_OPTIONS = {
+    "shared_memory": "block results always travel through the pool's pipe",
+}
+
 #: How the :class:`DeprecationWarning` for dropped retired fields begins.
 _RETIRED_FIELDS_WARNING = "ignoring retired scenario fields"
 
@@ -222,13 +229,13 @@ class Scenario:
         knob, excluded from the cache identity.
     backend, backend_options:
         Execution backend for the scenario's fan-outs -- a registered
-        name (``"serial"``, ``"process_pool"``, ``"tcp_remote"``) plus
-        its options dict (validated against the backend's accepted
-        options at construction).  ``None`` keeps the context/default
-        selection.  Every backend produces bit-identical artifacts, so
-        both fields are excluded from the cache identity: a scenario run
-        remotely shares cache entries (and cache keys) with the same
-        scenario run in-process.
+        name (``"serial"``, ``"process_pool"``) plus its options dict
+        (validated against the backend's accepted options at
+        construction).  ``None`` keeps the context/default selection.
+        Every backend produces bit-identical artifacts, so both fields
+        are excluded from the cache identity: a scenario run on a pool
+        shares cache entries (and cache keys) with the same scenario run
+        in-process.
     search:
         How the configuration space is *explored*: ``None`` (or
         ``{"strategy": "exhaustive"}``) sweeps every row -- the
@@ -322,8 +329,7 @@ class Scenario:
         elif self.backend_options:
             raise ValueError(
                 "backend_options require a backend; set backend to one of "
-                "the registered names (e.g. 'serial', 'process_pool', "
-                "'tcp_remote')"
+                "the registered names (e.g. 'serial', 'process_pool')"
             )
         if self.search is not None:
             object.__setattr__(
@@ -402,19 +408,32 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Inverse of :meth:`to_dict`; unknown keys raise for typo safety.
 
-        Retired fields (:data:`_RETIRED_FIELDS`), which scenarios stored
-        by earlier releases carry, are ignored with one
+        Retired fields (:data:`_RETIRED_FIELDS`) and backend options
+        (:data:`_RETIRED_BACKEND_OPTIONS`), which scenarios stored by
+        earlier releases carry, are ignored with one
         :class:`DeprecationWarning` that names each and why.
         """
-        retired = sorted(set(data) & set(_RETIRED_FIELDS))
-        if retired:
-            reasons = "; ".join(f"{k}: {_RETIRED_FIELDS[k]}" for k in retired)
+        reasons = [
+            f"{k}: {_RETIRED_FIELDS[k]}"
+            for k in sorted(set(data) & set(_RETIRED_FIELDS))
+        ]
+        data = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+        options = data.get("backend_options")
+        if isinstance(options, Mapping):
+            reasons += [
+                f"backend_options.{k}: {_RETIRED_BACKEND_OPTIONS[k]}"
+                for k in sorted(set(options) & set(_RETIRED_BACKEND_OPTIONS))
+            ]
+            data["backend_options"] = {
+                k: v for k, v in options.items()
+                if k not in _RETIRED_BACKEND_OPTIONS
+            }
+        if reasons:
             warnings.warn(
-                f"{_RETIRED_FIELDS_WARNING} ({reasons})",
+                f"{_RETIRED_FIELDS_WARNING} ({'; '.join(reasons)})",
                 DeprecationWarning,
                 stacklevel=2,
             )
-            data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

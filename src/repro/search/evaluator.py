@@ -13,7 +13,7 @@ comparison against exhaustive ground truth, and lets the search driver
 deduplicate rows by value.
 
 :func:`_eval_candidate_chunk` is the top-level picklable entry point the
-engine ships to process-pool and tcp_remote workers.
+engine ships to process-pool workers.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.calibration import ground_truth_params
-from repro.engine.backends import close_shared_backends
 from repro.core.evaluate import evaluate_space
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9, ETHERNET_SWITCH
 from repro.simulator.noise import CALIBRATED_NOISE, NOISELESS
@@ -19,18 +18,6 @@ from repro.workloads.suite import (
     RSA2048,
     X264,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _close_shared_backends():
-    """Close the shared execution backends when the session ends.
-
-    The ``atexit`` hook that also does this runs only after interpreter
-    shutdown has joined every non-daemon thread, and a shared pool's
-    manager thread is one: left open, it can block the exit forever.
-    """
-    yield
-    close_shared_backends()
 
 
 @pytest.fixture

@@ -1,14 +1,14 @@
 """The backend conformance suite: every backend, one contract.
 
 The executor's correctness argument is that *where* tasks run is
-invisible: ``serial``, ``process_pool`` (with and without the
-shared-memory fast path), and ``tcp_remote`` (localhost worker agents)
-must deliver results in plan order, bit-identical to in-process
-evaluation, under fault plans, and through checkpoint/resume -- while
-the scenario cache identity never varies with the backend.  Each class
-below pins one face of that contract across the whole matrix.
+invisible: ``serial`` and ``process_pool`` must deliver results in plan
+order, bit-identical to in-process evaluation, under fault plans, and
+through checkpoint/resume -- while the scenario cache identity never
+varies with the backend.  Each class below pins one face of that
+contract across the whole matrix.
 """
 
+import json
 import shutil
 import time
 from pathlib import Path
@@ -24,10 +24,8 @@ from repro.engine.backends import (
     SerialBackend,
     backend_class,
     backend_names,
-    close_shared_backends,
     create_backend,
     resolve_backend,
-    shared_backend,
     validate_backend_options,
     validate_workers,
 )
@@ -46,26 +44,17 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 #: Fast-failing policy: no backoff sleeps between retries.
 FAST = ResiliencePolicy(backoff_base_s=0.0)
 
-#: Remote options shared by every tcp_remote test in this module, so the
-#: process-wide shared backend reuses one two-agent localhost fleet
-#: instead of spawning workers per test.
-REMOTE_OPTS = {
-    "spawn_workers": 2,
-    "heartbeat_interval_s": 0.1,
-    "heartbeat_timeout_s": 2.0,
-}
+#: The error a retired backend name meets at every way in.
+RETIRED_BACKEND = (
+    r"unknown execution backend 'tcp_remote'; "
+    r"available: \['process_pool', 'serial'\]"
+)
 
 #: The conformance matrix: (backend name, options) for each way the
 #: engine can execute a fan-out.
 MATRIX = [
     pytest.param("serial", None, id="serial"),
     pytest.param("process_pool", {"workers": 2}, id="process_pool"),
-    pytest.param(
-        "process_pool",
-        {"workers": 2, "shared_memory": True},
-        id="process_pool_shm",
-    ),
-    pytest.param("tcp_remote", dict(REMOTE_OPTS), id="tcp_remote"),
 ]
 
 
@@ -116,7 +105,7 @@ def _assert_results_identical(a, b):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert backend_names() == ["process_pool", "serial", "tcp_remote"]
+        assert backend_names() == ["process_pool", "serial"]
 
     def test_unknown_backend_names_the_alternatives(self):
         with pytest.raises(ValueError, match=r"unknown execution backend 'gpu'"):
@@ -129,7 +118,6 @@ class TestRegistry:
             ValueError, match=r"unknown option 'threads' for backend 'process_pool'"
         ) as exc:
             validate_backend_options("process_pool", {"threads": 4})
-        assert "shared_memory" in str(exc.value)
         assert "workers" in str(exc.value)
 
     def test_serial_accepts_no_options(self):
@@ -152,9 +140,7 @@ class TestRegistry:
         pinned = create_backend("process_pool", {"workers": 5}, max_workers=3)
         assert pinned.workers == 5
 
-    def test_resolve_default_heuristic(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND_OPTIONS", raising=False)
+    def test_resolve_default_heuristic(self):
         assert isinstance(resolve_backend(max_workers=1), SerialBackend)
         pool = resolve_backend(max_workers=4)
         assert isinstance(pool, ProcessPoolBackend)
@@ -167,30 +153,6 @@ class TestRegistry:
             resolve_backend(backend, options={"workers": 2})
         with pytest.raises(TypeError, match="ExecutionBackend"):
             resolve_backend(42)
-
-    def test_resolve_honors_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND_OPTIONS", raising=False)
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert isinstance(resolve_backend(max_workers=4), SerialBackend)
-        monkeypatch.setenv("REPRO_BACKEND", "process_pool")
-        monkeypatch.setenv("REPRO_BACKEND_OPTIONS", '{"workers": 2}')
-        backend = resolve_backend()
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.workers == 2
-        # An explicit name beats the environment.
-        monkeypatch.setenv("REPRO_BACKEND", "process_pool")
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-
-    def test_malformed_env_options_raise(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process_pool")
-        monkeypatch.setenv("REPRO_BACKEND_OPTIONS", "not json")
-        with pytest.raises(ValueError, match="REPRO_BACKEND_OPTIONS"):
-            resolve_backend()
-
-    def test_shared_backend_caches_stateful_only(self):
-        a = shared_backend("process_pool", {"workers": 2})
-        b = shared_backend("process_pool", {"workers": 2})
-        assert a is not b  # stateless: fresh instances, nothing to share
 
     def test_custom_backend_registration_is_scoped(self):
         class Fake(SerialBackend):
@@ -213,14 +175,14 @@ class TestRegistry:
 class TestSubmitContract:
     @pytest.mark.parametrize("name, options", MATRIX)
     def test_map_matches_serial(self, name, options):
-        backend = shared_backend(name, options)
+        backend = create_backend(name, options)
         assert backend.map(_square, range(8), policy=FAST) == [
             x * x for x in range(8)
         ]
 
     @pytest.mark.parametrize("name, options", MATRIX)
     def test_indices_strictly_ascending(self, name, options):
-        backend = shared_backend(name, options)
+        backend = create_backend(name, options)
         # Early tasks sleep longer: completion order inverts plan order,
         # delivery order must not.
         args = [(i, 0.15 if i < 2 else 0.0) for i in range(6)]
@@ -234,7 +196,7 @@ class TestSubmitContract:
 
     @pytest.mark.parametrize("name, options", MATRIX)
     def test_start_index_skips_finished_prefix(self, name, options):
-        backend = shared_backend(name, options)
+        backend = create_backend(name, options)
         out = list(
             backend.submit_blocks(
                 _square, [(i,) for i in range(6)], policy=FAST, start_index=4
@@ -306,8 +268,6 @@ class TestScenarioConformance:
                 (None, None),
                 ("serial", None),
                 ("process_pool", {"workers": 2}),
-                ("process_pool", {"workers": 2, "shared_memory": True}),
-                ("tcp_remote", dict(REMOTE_OPTS)),
             ]
         }
         assert len(identities) == 1
@@ -322,37 +282,12 @@ class TestScenarioConformance:
             pytest.param(
                 "process_pool", {"workers": 2}, "kill", id="pool-kill"
             ),
-            pytest.param(
-                "process_pool",
-                {"workers": 2, "shared_memory": True},
-                "kill",
-                id="shm-kill",
-            ),
-            pytest.param(
-                "tcp_remote", dict(REMOTE_OPTS), "crash", id="remote-crash"
-            ),
-            pytest.param(
-                "tcp_remote",
-                dict(REMOTE_OPTS),
-                "worker_vanish",
-                id="remote-vanish",
-            ),
-            pytest.param(
-                "tcp_remote",
-                dict(REMOTE_OPTS),
-                "net_delay",
-                id="remote-net-delay",
-            ),
         ],
     )
     def test_faulted_run_bit_identical(
         self, name, options, kind, serial_reference
     ):
-        spec = (
-            FaultSpec(kind=kind, task=1, delay_s=0.3)
-            if kind in ("worker_vanish", "net_delay")
-            else FaultSpec(kind=kind, task=1)
-        )
+        spec = FaultSpec(kind=kind, task=1)
         scenario = streaming_scenario().with_(
             backend=name, backend_options=options
         )
@@ -364,19 +299,16 @@ class TestScenarioConformance:
         )
         result = run_scenario(scenario, ctx)
         _assert_results_identical(serial_reference, result)
-        if kind in ("crash",):
+        if kind == "crash":
             assert "resilience.retry" in events
-        elif kind in ("kill", "worker_vanish"):
+        else:
             assert "resilience.pool_replaced" in events
-        else:  # net_delay: latency, not death -- no resilience traffic
-            assert not any(e.startswith("resilience.") for e in events)
 
     @pytest.mark.parametrize(
         "name, options",
         [
             pytest.param("serial", None, id="serial"),
             pytest.param("process_pool", {"workers": 2}, id="process_pool"),
-            pytest.param("tcp_remote", dict(REMOTE_OPTS), id="tcp_remote"),
         ],
     )
     def test_interrupted_resume_bit_identical(
@@ -530,27 +462,6 @@ class TestWorkerReduceConformance:
             pytest.param(
                 "process_pool", {"workers": 2}, "kill", id="pool-kill"
             ),
-            pytest.param(
-                "process_pool",
-                {"workers": 2, "shared_memory": True},
-                "kill",
-                id="shm-kill",
-            ),
-            pytest.param(
-                "tcp_remote", dict(REMOTE_OPTS), "crash", id="remote-crash"
-            ),
-            pytest.param(
-                "tcp_remote",
-                dict(REMOTE_OPTS),
-                "worker_vanish",
-                id="remote-vanish",
-            ),
-            pytest.param(
-                "tcp_remote",
-                dict(REMOTE_OPTS),
-                "net_delay",
-                id="remote-net-delay",
-            ),
         ],
     )
     def test_faulted_run_bit_identical(
@@ -558,11 +469,7 @@ class TestWorkerReduceConformance:
     ):
         # A retried task re-evaluates AND re-folds its block from the
         # start; the merged artifacts must not notice.
-        spec = (
-            FaultSpec(kind=kind, task=1, delay_s=0.3)
-            if kind in ("worker_vanish", "net_delay")
-            else FaultSpec(kind=kind, task=1)
-        )
+        spec = FaultSpec(kind=kind, task=1)
         scenario = streaming_scenario().with_(
             backend=name, backend_options=options
         )
@@ -574,19 +481,16 @@ class TestWorkerReduceConformance:
         )
         result = run_scenario(scenario, ctx)
         _assert_matches_oracle(batch_oracle, result)
-        if kind in ("crash",):
+        if kind == "crash":
             assert "resilience.retry" in events
-        elif kind in ("kill", "worker_vanish"):
+        else:
             assert "resilience.pool_replaced" in events
-        else:  # net_delay: latency, not death -- no resilience traffic
-            assert not any(e.startswith("resilience.") for e in events)
 
     @pytest.mark.parametrize(
         "name, options",
         [
             pytest.param("serial", None, id="serial"),
             pytest.param("process_pool", {"workers": 2}, id="process_pool"),
-            pytest.param("tcp_remote", dict(REMOTE_OPTS), id="tcp_remote"),
         ],
     )
     def test_interrupted_resume_bit_identical(
@@ -622,7 +526,6 @@ class TestWorkerReduceConformance:
         [
             pytest.param("serial", None, id="serial"),
             pytest.param("process_pool", {"workers": 2}, id="process_pool"),
-            pytest.param("tcp_remote", dict(REMOTE_OPTS), id="tcp_remote"),
         ],
     )
     def test_parent_checkpoint_resumes(
@@ -650,24 +553,6 @@ class TestWorkerReduceConformance:
         reduced = [p for e, p in events if e == "space.reduced"]
         assert reduced and reduced[0]["resumed_from_block"] == 4
 
-    @pytest.mark.parametrize("reduce_at", ["coordinator", "worker"])
-    def test_shm_run_leaves_no_segments(self, reduce_at, tmp_path):
-        # Zero-copy decode unlinks segments immediately, whether the
-        # columns ship to the coordinator (a spill needs them) or each
-        # worker folds its block and ships reducer states.  Either way
-        # /dev/shm must end exactly where it started.
-        import glob
-
-        scenario = streaming_scenario().with_(
-            backend="process_pool",
-            backend_options={"workers": 2, "shared_memory": True},
-        )
-        spill_dir = tmp_path if reduce_at == "coordinator" else None
-        before = set(glob.glob("/dev/shm/*"))
-        run_scenario(scenario, RunContext(max_workers=2), spill_dir=spill_dir)
-        after = set(glob.glob("/dev/shm/*"))
-        assert after - before == set()
-
 
 # ---------------------------------------------------------------------------
 # Scenario field validation and selection precedence
@@ -683,6 +568,49 @@ class TestScenarioBackendField:
         with pytest.raises(ValueError, match=r"unknown option 'threads'"):
             streaming_scenario(
                 backend="process_pool", backend_options={"threads": 4}
+            )
+
+    def test_retired_tcp_remote_rejected_at_construction(self):
+        # Running locally instead would ignore the hosts the user named.
+        with pytest.raises(ValueError, match=RETIRED_BACKEND):
+            streaming_scenario(backend="tcp_remote")
+
+    def test_retired_tcp_remote_rejected_in_a_stored_file(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(dict(
+            streaming_scenario().to_dict(),
+            backend="tcp_remote",
+            backend_options={"worker_hosts": "10.0.0.1:7000"},
+        )))
+        with pytest.raises(ValueError, match=RETIRED_BACKEND):
+            Scenario.from_file(path)
+
+    def test_stored_shared_memory_option_is_dropped(self):
+        # The option never changed a result: a stored one is dropped
+        # with the retired-fields warning and the run goes ahead on the
+        # pool, bit-identical to the serial reference.
+        stored = dict(
+            streaming_scenario().to_dict(),
+            backend="process_pool",
+            backend_options={"workers": 2, "shared_memory": True},
+        )
+        with pytest.warns(
+            DeprecationWarning,
+            match=r"ignoring retired scenario fields "
+            r"\(backend_options\.shared_memory: ",
+        ):
+            scenario = Scenario.from_dict(stored)
+        assert scenario.backend == "process_pool"
+        assert scenario.backend_options == {"workers": 2}
+        assert scenario.cache_identity() == streaming_scenario().cache_identity()
+        result = run_scenario(scenario, RunContext(max_workers=2))
+        reference = run_scenario(streaming_scenario(), RunContext(max_workers=1))
+        _assert_results_identical(reference, result)
+
+    def test_shared_memory_option_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"unknown option 'shared_memory'"):
+            streaming_scenario(
+                backend="process_pool", backend_options={"shared_memory": True}
             )
 
     def test_options_without_backend_rejected(self):
@@ -726,30 +654,3 @@ class TestTeardown:
         with create_backend("process_pool", {"workers": 2}) as backend:
             assert not backend.closed
         assert backend.closed
-
-    def test_remote_close_reaps_spawned_workers(self):
-        backend = create_backend(
-            "tcp_remote",
-            {"spawn_workers": 2, "heartbeat_timeout_s": 2.0},
-        )
-        assert backend.map(_square, range(4), policy=FAST) == [0, 1, 4, 9]
-        procs = [
-            slot.proc for slot in backend._slots.values()
-            if slot.proc is not None
-        ]
-        assert procs, "expected spawned localhost worker processes"
-        backend.close()
-        for proc in procs:
-            assert proc.poll() is not None, "worker process leaked past close()"
-        backend.close()  # idempotent with real resources behind it
-
-    def test_close_shared_backends_is_idempotent(self):
-        backend = shared_backend("tcp_remote", dict(REMOTE_OPTS))
-        assert backend.map(_square, [2], policy=FAST) == [4]
-        close_shared_backends()
-        assert backend.closed
-        close_shared_backends()
-        # A fresh shared instance is created on next use.
-        revived = shared_backend("tcp_remote", dict(REMOTE_OPTS))
-        assert revived is not backend
-        assert revived.map(_square, [5], policy=FAST) == [25]

@@ -9,6 +9,7 @@ reducer aborts.  The invariant under test throughout: a recovered run is
 function of its arguments and blocks fold in plan order.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -110,6 +111,17 @@ class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind="meteor", task=0)
+
+    @pytest.mark.parametrize("kind", ["worker_vanish", "net_delay"])
+    def test_retired_remote_kinds_rejected_at_load(self, kind, tmp_path):
+        # The kinds only a remote worker realized are gone with it; a
+        # plan naming one fails at load, not mid-run.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            {"seed": 0, "faults": [{"kind": kind, "task": 1, "delay_s": 0.3}]}
+        ))
+        with pytest.raises(ValueError, match=f"unknown fault kind '{kind}'"):
+            FaultPlan.from_file(path)
 
     def test_task_faults_need_coordinates(self):
         with pytest.raises(ValueError, match="task index"):

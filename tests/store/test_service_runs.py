@@ -142,6 +142,20 @@ class TestValidation:
         assert status == 400
         assert fragment in body["error"]
 
+    def test_retired_tcp_remote_backend_is_400(self, service):
+        port, state, _ = service
+        spec = dict(TINY.to_dict(), backend="tcp_remote",
+                    backend_options={"worker_hosts": "10.0.0.1:7000"})
+        status, body, _ = _request(
+            port, "/v1/runs", "POST", {"scenario": spec}
+        )
+        assert status == 400
+        assert (
+            "unknown execution backend 'tcp_remote'; "
+            "available: ['process_pool', 'serial']"
+        ) in body["error"]
+        assert state.queue.depth() == 0
+
     @pytest.mark.parametrize(
         "raw_value", ["1e999", "-1e999", "2.7", "true", '"12"']
     )

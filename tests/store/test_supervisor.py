@@ -217,6 +217,28 @@ class TestFailureClassification:
         assert failed["attempts"] == 1
         assert failed["error"]["retryable"] is False
 
+    def test_retired_tcp_remote_job_fails_permanently(self, store, queue):
+        """A row queued before ``tcp_remote`` was retired parks on its
+        first attempt instead of silently running on this host."""
+        spec = dict(TINY.to_dict(), backend="tcp_remote",
+                    backend_options={"worker_hosts": "10.0.0.1:7000"})
+        job, _ = queue.enqueue(json.dumps(spec))
+        Supervisor(store, worker_id="w").run_until_idle()
+        failed = queue.get(job["id"])
+        assert failed["state"] == "failed"
+        assert failed["attempts"] == 1
+        assert failed["error"]["retryable"] is False
+        assert failed["error"]["type"] == "ValueError"
+        assert (
+            "unknown execution backend 'tcp_remote'; "
+            "available: ['process_pool', 'serial']"
+        ) in failed["error"]["message"]
+        with store.transaction() as conn:
+            (raw,) = conn.execute(
+                "SELECT error_json FROM jobs WHERE id = ?", (job["id"],)
+            ).fetchone()
+        json.loads(raw, parse_constant=pytest.fail)  # strict JSON
+
     def test_retryable_crash_requeues_then_succeeds(
         self, store, queue, monkeypatch
     ):

@@ -110,6 +110,25 @@ class TestErrors:
             main(["table3", *flags])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_retired_tcp_remote_backend_exits_2(self, tmp_path, capsys):
+        from repro.engine import Scenario
+
+        path = tmp_path / "exp.json"
+        path.write_text(Scenario(workload="ep", max_a=2, max_b=2).to_json())
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--file", str(path), "--backend", "tcp_remote"])
+        assert exc.value.code == 2
+        assert (
+            "unknown execution backend 'tcp_remote'; "
+            "available: ['process_pool', 'serial']"
+        ) in capsys.readouterr().err
+
+    def test_worker_hosts_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--worker-hosts", "10.0.0.1:7000"])
+        assert exc.value.code == 2
+        assert "--worker-hosts" in capsys.readouterr().err
+
 
 class TestExtensionCommands:
     def test_reduce(self, capsys):
@@ -311,6 +330,18 @@ class TestRetiredFieldsReachUsers:
         assert "the memory budget alone sizes streaming blocks" in err
         assert "reduce_at" in err and "simulation" in err
         assert "space_mode" in err
+
+    def test_scenario_file_names_retired_backend_option(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "workload": "ep", "max_a": 2, "max_b": 2,
+            "backend": "process_pool",
+            "backend_options": {"workers": 2, "shared_memory": True},
+        }))
+        proc = _repro_process("scenario", "--file", str(path), "--explain")
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert err.count("backend_options.shared_memory") == 1
 
     def test_serve_logs_retired_fields_of_a_posted_run(self, tmp_path):
         proc = _repro_process(
