@@ -3,8 +3,12 @@
 Populates a store by running ``ci/chaos_scenario.json``, starts the real
 ``python -m repro serve`` process against it, and asserts that every
 query endpoint answers with the same numbers ``run_scenario`` produced.
-Then edits the ARM hardware spec behind its name and checks the store
-invalidates -- and a rerun recomputes -- exactly the downstream stages.
+It enqueues a run through ``POST /v1/runs`` and waits for it, then
+checks that three tiny jobs, posted one after another, go from enqueue
+to done within one poll interval of the runner together (each enqueue
+wakes the runner).  Then edits the ARM hardware spec behind its name
+and checks the store invalidates -- and a rerun recomputes -- exactly
+the downstream stages.
 
 Usage::
 
@@ -29,6 +33,13 @@ from repro.store import ArtifactStore
 
 SCENARIO_FILE = Path(__file__).parent / "chaos_scenario.json"
 
+#: ``Supervisor``'s default ``poll_s``, which ``repro serve`` keeps: a
+#: job that waited for the poll instead of being woken by its enqueue
+#: takes at least this long from enqueue to done.
+RUNNER_POLL_S = 0.5
+#: Tiny jobs posted one after another to time the enqueue -> done path.
+TINY_JOBS = 3
+
 
 def get_json(port: int, path: str) -> dict:
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=10) as r:
@@ -43,6 +54,17 @@ def post_json(port: int, path: str, body: dict) -> tuple:
     )
     with urllib.request.urlopen(req, timeout=10) as r:
         return r.status, json.loads(r.read())
+
+
+def wait_for_job(port: int, job_id: str, timeout_s: float = 120.0) -> dict:
+    """Poll one job until it is ``done`` or ``failed``."""
+    deadline = time.time() + timeout_s
+    while True:
+        polled = get_json(port, f"/v1/runs/{job_id}")
+        if polled["state"] in ("done", "failed"):
+            return polled
+        assert time.time() < deadline, polled
+        time.sleep(0.02)
 
 
 def approx_equal(a, b, tol=1e-12) -> bool:
@@ -137,19 +159,37 @@ def main() -> int:
         )
         assert status == 200 and not deduped["created"], deduped
         assert deduped["id"] == job["id"]
-        deadline = time.time() + 120
-        while True:
-            polled = get_json(port, f"/v1/runs/{job['id']}")
-            if polled["state"] in ("done", "failed"):
-                break
-            assert time.time() < deadline, polled
-            time.sleep(0.2)
+        polled = wait_for_job(port, job["id"])
         assert polled["state"] == "done", polled.get("error")
         body = get_json(port, "/v1/query/frontier?scenario=smoke-enqueued")
         assert body["total_points"] == len(frontier), body
         print(
             f"enqueued job {job['id']} ran to done "
             f"({polled['result']['frontier_points']} frontier points served)"
+        )
+
+        # --- an enqueue wakes the runner: no wait for its poll ---------
+        # One job posted just before a poll could slip under the poll
+        # interval even without the wake-up; three in a row cannot, so
+        # their turnarounds must fit in one interval together.
+        turnarounds = []
+        for i in range(TINY_JOBS):
+            tiny = dataclasses.replace(
+                scenario, max_a=2, max_b=2, name=f"smoke-tiny-{i}"
+            ).to_dict()
+            status, job = post_json(port, "/v1/runs", {"scenario": tiny})
+            assert status == 202 and job["created"], job
+            polled = wait_for_job(port, job["id"])
+            assert polled["state"] == "done", polled.get("error")
+            turnarounds.append(polled["updated_at"] - polled["created_at"])
+        assert sum(turnarounds) < RUNNER_POLL_S, (
+            f"{TINY_JOBS} tiny jobs took {turnarounds} s from enqueue to "
+            f"done; together they must stay below the runner's "
+            f"{RUNNER_POLL_S} s poll"
+        )
+        print(
+            f"{TINY_JOBS} tiny jobs done "
+            f"{', '.join(f'{t:.3f}' for t in turnarounds)} s after enqueue"
         )
     finally:
         proc.terminate()

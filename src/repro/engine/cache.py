@@ -124,6 +124,10 @@ class ResultCache:
         """Store ``value`` under a pre-built ``key`` in the memory tier."""
         self._memory[key] = value
 
+    def discard(self, key: str) -> None:
+        """Drop ``key`` from the memory tier, if present."""
+        self._memory.pop(key, None)
+
     def get_or_compute(
         self,
         kind: str,

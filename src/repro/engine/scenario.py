@@ -22,6 +22,7 @@ executes a scenario end-to-end.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -57,6 +58,18 @@ _RETIRED_BACKEND_OPTIONS = {
 
 #: How the :class:`DeprecationWarning` for dropped retired fields begins.
 _RETIRED_FIELDS_WARNING = "ignoring retired scenario fields"
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for a warning raised in this
+    module, that names the first frame outside it -- the code that
+    called ``from_dict``, ``from_json`` or ``from_file``."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def show_retired_fields(action: str = "once") -> None:
@@ -432,7 +445,7 @@ class Scenario:
             warnings.warn(
                 f"{_RETIRED_FIELDS_WARNING} ({'; '.join(reasons)})",
                 DeprecationWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known

@@ -137,6 +137,11 @@ class JobQueue:
     :meth:`repro.store.ArtifactStore.transaction`), so read-then-write
     transitions take sqlite's write lock up front and wait on the busy
     handler instead of failing on a WAL snapshot conflict.
+
+    :meth:`enqueue` wakes the supervisors idling on the same store
+    instance (:meth:`ArtifactStore.wake_runners`) once its transaction
+    has committed.  Supervisors on another store instance or in another
+    process see the job at their next poll.
     """
 
     def __init__(self, store: ArtifactStore):
@@ -191,6 +196,7 @@ class JobQueue:
                 (job_id, idempotency_key, scenario_json, scenario_name,
                  max_attempts, now, now),
             )
+        self.store.wake_runners()
         self._emit("jobs.enqueued", job=job_id, name=scenario_name)
         return self.get(job_id), True
 
@@ -233,6 +239,18 @@ class JobQueue:
         self._emit("jobs.leased", job=job_id, owner=owner,
                    attempt=job["attempts"])
         return job
+
+    def next_due(self) -> Optional[float]:
+        """The earliest ``not_before`` of a queued job, or ``None``.
+
+        After an empty :meth:`lease` this is when a job waiting out its
+        retry backoff becomes runnable -- the supervisor's idle wait
+        ends there instead of at its next poll.
+        """
+        with self.store._lock:
+            return self.store._conn.execute(
+                "SELECT MIN(not_before) FROM jobs WHERE state = 'queued'"
+            ).fetchone()[0]
 
     def heartbeat(
         self, job_id: str, owner: str, lease_s: float = 30.0

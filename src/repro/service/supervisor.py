@@ -32,6 +32,12 @@ Crash safety is the point:
   rescuer resume from a checkpoint directory this thread is still
   writing to.  If the process then exits anyway (SIGTERM path), the
   heartbeat dies with it and lease expiry hands the job over safely.
+* An idle loop **wakes on enqueue**: a job enqueued through the same
+  :class:`~repro.store.ArtifactStore` instance (``repro serve``'s HTTP
+  handlers and runners share one) ends the runner's wait as soon as its
+  transaction commits, and a job waiting out its retry backoff ends it
+  when the backoff runs out.  ``poll_s`` is only the fallback for jobs
+  enqueued elsewhere -- another store instance or another process.
 * The **worker loop** survives transient store errors (a busy sqlite
   handle, a disk hiccup): the loop body is guarded, errors are reported
   as ``supervisor.loop_error`` events, and the loop backs off and
@@ -93,7 +99,8 @@ class Supervisor:
         Lease duration; heartbeats extend it at ``lease_s / 3`` cadence,
         so a worker must miss several beats before its job is reclaimed.
     poll_s:
-        Idle sleep between queue polls.
+        Fallback interval for enqueues made outside this store instance;
+        an enqueue through this store wakes the idle loop at once.
     checkpoint_every:
         Block cadence for the per-job checkpoints.
     fault_plan:
@@ -346,9 +353,23 @@ class Supervisor:
                 self._error_backoff(errors, exc)
         return done
 
+    def _idle_wait_s(self) -> float:
+        """How long an idle loop may wait: ``poll_s``, or less when a
+        queued job's retry backoff runs out sooner."""
+        due = self.queue.next_due()
+        if due is None:
+            return self.poll_s
+        return min(self.poll_s, max(0.0, due - time.time()))
+
     def run_forever(self) -> None:
         errors = 0
-        while not self._stop.is_set():
+        while True:
+            # The wake generation is read before the stop flag and the
+            # lease: an enqueue or stop() landing after this line ends
+            # the idle wait below at once.
+            generation = self.store.wake_generation
+            if self._stop.is_set():
+                return
             self._last_beat = time.monotonic()
             try:
                 self.queue.reclaim_expired()
@@ -359,12 +380,13 @@ class Supervisor:
                     self.run_job(job)
                     errors = 0
                     continue
+                wait_s = self._idle_wait_s()
             except Exception as exc:
                 errors += 1
                 self._error_backoff(errors, exc)
                 continue
             errors = 0
-            self._stop.wait(self.poll_s)
+            self.store.wait_for_wake(generation, wait_s)
 
     def start(self) -> "Supervisor":
         """Run the loop in a daemon thread (the ``repro serve`` mode)."""
@@ -401,6 +423,7 @@ class Supervisor:
         """
         self._draining.set()
         self._stop.set()
+        self.store.wake_runners()  # an idle loop exits now, not at its poll
         thread = self._thread
         if thread is not None:
             thread.join(timeout=grace_s)
@@ -441,7 +464,13 @@ def main(argv=None) -> int:
     parser.add_argument("--store-dir", type=Path, required=True)
     parser.add_argument("--worker-id", default=None)
     parser.add_argument("--lease-s", type=positive_float_arg, default=30.0)
-    parser.add_argument("--poll-s", type=positive_float_arg, default=0.5)
+    parser.add_argument(
+        "--poll-s",
+        type=positive_float_arg,
+        default=0.5,
+        help="how often an idle worker looks for jobs enqueued by other "
+             "processes (default: 0.5)",
+    )
     parser.add_argument("--checkpoint-every", type=int, default=1)
     parser.add_argument(
         "--until-idle",

@@ -164,15 +164,22 @@ class PowerMeter:
         Measures the CPU-max kernel at every core count and regresses the
         readings on the count -- the slope is ``P_CPU,act(f)``.  This is
         the paper's measurement procedure, and it inherits meter error.
+        A slope the meter error drives below zero reads as 0 W, as
+        :meth:`characterize_io` does: power is never negative.
         """
         self.node.cores.validate_setting(self.node.cores.count, f_ghz)
         counts = np.arange(1, self.node.cores.count + 1)
         per_core = self.node.power.core_active.watts(f_ghz)
         readings = self._read_many(self.node.power.idle_w + counts * per_core)
-        return _slope(counts, readings)
+        return max(0.0, _slope(counts, readings))
 
     def characterize_core_stall(self, f_ghz: float) -> float:
-        """Estimate per-core stall power at ``f_ghz`` (slope over cores)."""
+        """Estimate per-core stall power at ``f_ghz`` (slope over cores).
+
+        At low P-states a core stalls on a fraction of a watt, small
+        beside the meter's error on the whole node's draw, so the slope
+        can come out negative; it then reads as 0 W.
+        """
         self.node.cores.validate_setting(self.node.cores.count, f_ghz)
         counts = np.arange(1, self.node.cores.count + 1)
         per_core = self.node.power.core_stall.watts(f_ghz)
@@ -180,7 +187,7 @@ class PowerMeter:
         readings = self._read_many(
             self.node.power.idle_w + counts * per_core + self.node.power.mem_active_w
         )
-        return _slope(counts, readings)
+        return max(0.0, _slope(counts, readings))
 
     def characterize_idle(self, repetitions: int = 3) -> float:
         """Average several idle readings (``P_idle``)."""

@@ -38,7 +38,15 @@ so a killed process can never leave a half-written artifact visible.
 
 The in-process tier is a shared :class:`~repro.engine.cache.ResultCache`
 (conventionally the run context's own): memory hits never touch sqlite,
-and both layers report through one :class:`CacheStats` counter set.
+and both layers report through one :class:`CacheStats` counter set.  A
+store opened without one (a service process, which lives for many jobs)
+keeps a private tier of the :data:`MEMORY_TIER_ENTRIES` most recently
+used artifacts; older ones are read back from sqlite.
+
+The store also carries the run queue's in-process wake-up
+(:meth:`ArtifactStore.wake_runners`): a committed enqueue wakes the
+supervisors sharing this store instance at once, instead of leaving the
+job for their next poll.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import shutil
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -131,9 +140,44 @@ JOB_ACTIVE_STATES = ("queued", "leased", "running")
 #: a wait this long means something is genuinely wedged.
 BUSY_TIMEOUT_MS = 30_000
 
+#: Artifacts the private memory tier of a store opened without
+#: ``memory=`` keeps.  A service process runs job after job, so an
+#: unbounded tier would grow with every artifact it ever touched; the
+#: least recently used entries drop out and are read back from sqlite.
+MEMORY_TIER_ENTRIES = 256
+
 
 class StoreCorrupt(RuntimeError):
     """An artifact row failed integrity verification (internal signal)."""
+
+
+class _LRUTier(ResultCache):
+    """A memory tier holding the :data:`MEMORY_TIER_ENTRIES` most recently
+    used entries.  HTTP handler and runner threads share one store, so
+    every access takes the tier's lock."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._memory = OrderedDict()
+        self._tier_lock = threading.Lock()
+
+    def peek(self, key: str, default: Any = None) -> Any:
+        with self._tier_lock:
+            if key not in self._memory:
+                return default
+            self._memory.move_to_end(key)
+            return self._memory[key]
+
+    def put(self, key: str, value: Any) -> None:
+        with self._tier_lock:
+            self._memory[key] = value
+            self._memory.move_to_end(key)
+            while len(self._memory) > MEMORY_TIER_ENTRIES:
+                self._memory.popitem(last=False)
+
+    def discard(self, key: str) -> None:
+        with self._tier_lock:
+            self._memory.pop(key, None)
 
 
 class ArtifactStore:
@@ -148,7 +192,8 @@ class ArtifactStore:
         The in-process tier -- pass the run context's
         :class:`~repro.engine.cache.ResultCache` so stage loads hit the
         same table (and the same counters) the engine already uses; a
-        private cache is created when omitted (service processes).
+        private tier bounded to :data:`MEMORY_TIER_ENTRIES` entries is
+        created when omitted (service processes).
     on_event:
         Optional callback ``on_event(event, **payload)`` notified of
         quarantines and invalidations.
@@ -163,9 +208,11 @@ class ArtifactStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "store.sqlite"
-        self.memory = memory if memory is not None else ResultCache()
+        self.memory = memory if memory is not None else _LRUTier()
         self.on_event = on_event
         self._lock = threading.RLock()
+        self._wake = threading.Condition()
+        self._wake_generation = 0
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
@@ -215,6 +262,35 @@ class ArtifactStore:
                 raise
             else:
                 self._conn.commit()
+
+    # ---- runner wake-up -------------------------------------------------
+
+    @property
+    def wake_generation(self) -> int:
+        """Counts :meth:`wake_runners` calls; a runner notes it before
+        it leases and hands it to :meth:`wait_for_wake`."""
+        with self._wake:
+            return self._wake_generation
+
+    def wake_runners(self) -> None:
+        """Wake every thread in :meth:`wait_for_wake` on this instance.
+
+        Called when an enqueue commits and when a supervisor stops.  A
+        counter rather than a shared event: with several runners, one
+        runner clearing an event could swallow the wake-up another was
+        about to see.
+        """
+        with self._wake:
+            self._wake_generation += 1
+            self._wake.notify_all()
+
+    def wait_for_wake(self, generation: int, timeout: float) -> bool:
+        """Block until :meth:`wake_runners` has run since ``generation``
+        was read (True) or ``timeout`` seconds pass (False)."""
+        with self._wake:
+            return self._wake.wait_for(
+                lambda: self._wake_generation != generation, timeout
+            )
 
     def __enter__(self) -> "ArtifactStore":
         return self
@@ -373,7 +449,7 @@ class ArtifactStore:
                         staled.append(child)
         # Stale artifacts must not linger in the memory tier either.
         for key in staled:
-            self.memory._memory.pop(key, None)
+            self.memory.discard(key)
         if staled:
             self._emit("store.invalidated", root=root_key, keys=staled)
         return staled
@@ -678,6 +754,6 @@ class ArtifactStore:
                     chunk + chunk,
                 )
         for key in dead_keys:
-            self.memory._memory.pop(key, None)
+            self.memory.discard(key)
         self._emit("store.gc", **report)
         return report

@@ -109,6 +109,21 @@ class TestCalibration:
             calibrate_node(AMD_K10, cpu_max_microbench(ARM_CORTEX_A9))
 
 
+class TestNoisyPowerSlopes:
+    def test_scenario_whose_stall_slope_reads_negative_runs(self):
+        # This seed's meter error drives the AMD node's 0.8 GHz stall
+        # slope (truth 0.19 W per core) below zero; it reads as 0 W and
+        # the run goes ahead instead of failing parameter validation.
+        from repro.engine import RunContext, Scenario, run_scenario
+
+        scenario = Scenario(workload="ep", max_a=5, max_b=5,
+                            calibrated=True, seed=1927029302,
+                            stages=("frontier",))
+        result = run_scenario(scenario, RunContext(max_workers=1))
+        assert result.params[AMD_K10.name].p_core_stall_w[0.8] == 0.0
+        assert len(result.frontier) > 0
+
+
 class TestParamsFor:
     def test_ground_truth_for_both_nodes(self):
         params = params_for((ARM_CORTEX_A9, AMD_K10), EP)

@@ -1,6 +1,7 @@
 """Scenario: declarative experiment descriptions and their serialization."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,25 @@ class TestSerialization:
                 Scenario.from_dict(
                     {"workload": "ep", "reduce_at": "worker", "max_arm": 3}
                 )
+
+    @pytest.mark.parametrize("load", [
+        lambda text: Scenario.from_json(text),
+        lambda text: Scenario.from_dict(json.loads(text)),
+    ], ids=["from_json", "from_dict"])
+    def test_retired_field_warning_names_the_caller(self, load):
+        text = json.dumps({"workload": "ep", "reduce_at": "worker"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load(text)
+        (warning,) = [w for w in caught if w.category is DeprecationWarning]
+        assert warning.filename == __file__
+
+    def test_retired_field_warning_from_file_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Scenario.from_file(PARENT_SCENARIO)
+        (warning,) = [w for w in caught if w.category is DeprecationWarning]
+        assert warning.filename == __file__
 
 
 class TestIdentity:

@@ -1,5 +1,6 @@
 """Power-meter emulation and characterization procedures."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
@@ -66,6 +67,19 @@ class TestCharacterization:
         meter = PowerMeter(node, noise=CALIBRATED_NOISE, seed=1)
         estimate = meter.characterize_core_active(2.1)
         assert estimate == pytest.approx(node.power.core_active.watts(2.1), rel=0.25)
+
+    @pytest.mark.parametrize(
+        "characterize", ("characterize_core_active", "characterize_core_stall")
+    )
+    def test_negative_slope_reads_as_zero(self, characterize, monkeypatch):
+        """Readings that fall with the core count (meter error beside a
+        tiny per-core power) estimate 0 W, never a negative power."""
+        meter = PowerMeter(AMD_K10, noise=NOISELESS, seed=0)
+        monkeypatch.setattr(
+            meter, "_read_many",
+            lambda true_watts: 50.0 - 0.01 * np.arange(len(true_watts)),
+        )
+        assert getattr(meter, characterize)(0.8) == 0.0
 
     def test_io_characterization(self):
         node = ARM_CORTEX_A9

@@ -35,7 +35,7 @@ def service(tmp_path):
     """A live server over an empty store, supervisor NOT started --
     queued jobs stay queued unless a test drains them explicitly."""
     store = ArtifactStore(tmp_path / "store")
-    supervisor = Supervisor(store, worker_id="svc-w", poll_s=0.01)
+    supervisor = Supervisor(store, worker_id="svc-w")
     state = ServiceState(store, supervisors=[supervisor], max_queued=3)
     httpd = create_server(store, port=0, state=state)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)

@@ -9,6 +9,7 @@ import pytest
 from repro.engine import ResultCache, Scenario
 from repro.hardware.catalog import ARM_CORTEX_A9
 from repro.store import ArtifactStore
+from repro.store.store import MEMORY_TIER_ENTRIES
 
 
 @pytest.fixture
@@ -261,3 +262,43 @@ class TestSharedMemoryTier:
             store.get("k1")
             assert cache.stats.hits == 1
             assert store.stats is cache.stats
+
+
+class TestBoundedMemoryTier:
+    """A store opened without ``memory=`` keeps a bounded LRU tier."""
+
+    def test_evicted_key_reads_back_from_sqlite(self, store):
+        for i in range(MEMORY_TIER_ENTRIES + 1):
+            store.put(f"k{i}", {"i": i}, kind="space")
+        assert len(store.memory) == MEMORY_TIER_ENTRIES
+        disk_before = store.stats.disk_hits
+        value, ok = store.get("k0")  # the least recently used: evicted
+        assert ok and value == {"i": 0}
+        assert store.stats.disk_hits == disk_before + 1
+        assert len(store.memory) == MEMORY_TIER_ENTRIES
+
+    def test_a_read_keeps_an_entry_in_the_tier(self, store):
+        store.put("kept", "value", kind="space")
+        for i in range(MEMORY_TIER_ENTRIES - 1):
+            store.put(f"k{i}", i, kind="space")
+        assert store.get("kept") == ("value", True)  # now most recent
+        store.put("one-more", 0, kind="space")
+        disk_before = store.stats.disk_hits
+        assert store.get("kept") == ("value", True)
+        assert store.stats.disk_hits == disk_before  # a memory hit
+        assert store.get("k0") == (0, True)  # evicted instead
+        assert store.stats.disk_hits == disk_before + 1
+
+    def test_given_cache_is_not_bounded(self, tmp_path):
+        cache = ResultCache()
+        with ArtifactStore(tmp_path / "s", memory=cache) as store:
+            for i in range(MEMORY_TIER_ENTRIES + 10):
+                store.put(f"k{i}", i, kind="space")
+        assert len(cache) == MEMORY_TIER_ENTRIES + 10
+
+    def test_invalidation_drops_the_entry_from_the_tier(self, store):
+        store.put("parent", 1, kind="space")
+        store.put("child", 2, kind="frontier", deps=["parent"])
+        assert store.invalidate_downstream("parent") == ["child"]
+        assert store.memory.peek("child", None) is None
+        assert store.get("child") == (None, False)

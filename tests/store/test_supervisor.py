@@ -19,9 +19,10 @@ from repro.engine.executor import space_block_plan
 from repro.engine.faults import WorkerCrash
 from repro.engine.hashing import stable_hash
 from repro.engine.stagegraph import build_stage_plan, scenario_identity
-from repro.service.jobs import JobQueue
+from repro.service.jobs import JobQueue, retry_backoff_s
 from repro.service.supervisor import Supervisor, job_checkpoint_dir
 from repro.store import ArtifactStore
+from repro.store.store import MEMORY_TIER_ENTRIES
 
 TINY = Scenario(workload="ep", max_a=2, max_b=2, stages=("frontier",),
                 name="tiny")
@@ -32,6 +33,33 @@ DATA = Path(__file__).parent / "data"
 #: three of that plan's blocks.
 PARENT_JOB = DATA / "parent_job_chunk_rows4.json"
 PARENT_JOB_CHECKPOINT = DATA / "parent_job_chunk_rows4.ckpt"
+
+
+class _StubResult:
+    """What a monkeypatched ``run_scenario`` hands the supervisor."""
+
+    stage_statuses = {}
+
+    @staticmethod
+    def summary():
+        return {"configurations": 1, "frontier_points": 1}
+
+
+def wait_until(predicate, timeout_s):
+    """Poll ``predicate`` every 5 ms; True once it holds, False at the
+    timeout."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def idle(supervisor):
+    """True once the started loop sits in its idle wait (its heartbeat
+    is only refreshed at the top of each iteration)."""
+    return wait_until(lambda: supervisor.heartbeat_age_s() > 0.05, 5.0)
 
 
 def streaming_job(name):
@@ -319,8 +347,7 @@ class TestRecovery:
 
         monkeypatch.setattr("repro.service.supervisor.run_scenario", stuck)
         job, _ = queue.enqueue(TINY.to_json())
-        supervisor = Supervisor(store, worker_id="w", poll_s=0.01,
-                                lease_s=60.0)
+        supervisor = Supervisor(store, worker_id="w", lease_s=60.0)
         supervisor.start()
         assert entered.wait(timeout=10)
         supervisor.stop(grace_s=10.0)
@@ -338,13 +365,6 @@ class TestRecovery:
         release_worker = threading.Event()
         entered = threading.Event()
 
-        class _StubResult:
-            stage_statuses = {}
-
-            @staticmethod
-            def summary():
-                return {"configurations": 1, "frontier_points": 1}
-
         def stuck(scenario, ctx, **kw):
             entered.set()
             assert release_worker.wait(timeout=30)
@@ -352,8 +372,7 @@ class TestRecovery:
 
         monkeypatch.setattr("repro.service.supervisor.run_scenario", stuck)
         job, _ = queue.enqueue(TINY.to_json())
-        supervisor = Supervisor(store, worker_id="w", poll_s=0.01,
-                                lease_s=60.0)
+        supervisor = Supervisor(store, worker_id="w", lease_s=60.0)
         supervisor.start()
         assert entered.wait(timeout=10)
         supervisor.stop(grace_s=0.2)
@@ -466,3 +485,122 @@ class TestLoopResilience:
         monkeypatch.setattr(supervisor.queue, "reclaim_expired", broken)
         with pytest.raises(sqlite3.OperationalError):
             supervisor.run_until_idle()
+
+
+class TestWake:
+    """An enqueue through the runner's own store instance wakes it.
+
+    Every runner here polls once a minute, so a job that only the poll
+    would find fails the test's deadline.
+    """
+
+    def test_enqueue_wakes_an_idle_runner(self, store, queue):
+        supervisor = Supervisor(store, worker_id="w", poll_s=60.0).start()
+        try:
+            assert idle(supervisor)
+            job, _ = queue.enqueue(TINY.to_json())
+            assert wait_until(
+                lambda: queue.get(job["id"])["state"] == "done", 2.0
+            ), queue.get(job["id"])
+        finally:
+            supervisor.stop(grace_s=5)
+
+    def test_back_to_back_enqueues_wake_two_runners(
+        self, store, queue, monkeypatch
+    ):
+        """Each of two idle runners takes one of two jobs enqueued back
+        to back: neither wake-up is lost to the other runner."""
+        started = []
+        release = threading.Event()
+
+        def blocking(scenario, ctx, **kw):
+            started.append(scenario.name)
+            assert release.wait(timeout=30)
+            return _StubResult()
+
+        monkeypatch.setattr("repro.service.supervisor.run_scenario", blocking)
+        runners = [
+            Supervisor(store, worker_id=f"w{i}", poll_s=60.0).start()
+            for i in range(2)
+        ]
+        try:
+            assert all(idle(r) for r in runners)
+            jobs = [
+                queue.enqueue(TINY.with_(name=f"job-{i}").to_json())[0]
+                for i in range(2)
+            ]
+            assert wait_until(lambda: len(started) == 2, 2.0), started
+            assert sorted(started) == ["job-0", "job-1"]
+            release.set()
+            assert wait_until(
+                lambda: all(queue.get(j["id"])["state"] == "done"
+                            for j in jobs),
+                5.0,
+            )
+        finally:
+            release.set()
+            for runner in runners:
+                runner.stop(grace_s=5)
+
+    def test_stop_ends_an_idle_wait_at_once(self, store):
+        supervisor = Supervisor(store, worker_id="w", poll_s=60.0).start()
+        assert idle(supervisor)
+        began = time.monotonic()
+        supervisor.stop(grace_s=5)
+        assert time.monotonic() - began < 1.0
+        assert not supervisor.alive
+
+    def test_other_store_instance_falls_back_to_the_poll(self, store):
+        """An enqueue through another handle on the same directory (as
+        from another process) wakes nobody here; the poll finds it."""
+        poll_s = 0.5
+        supervisor = Supervisor(store, worker_id="w", poll_s=poll_s).start()
+        try:
+            assert idle(supervisor)
+            with ArtifactStore(store.directory) as other:
+                job, _ = JobQueue(other).enqueue(TINY.to_json())
+            queue = JobQueue(store)
+            assert wait_until(
+                lambda: queue.get(job["id"])["state"] != "queued",
+                poll_s + 0.5,
+            )
+            assert wait_until(
+                lambda: queue.get(job["id"])["state"] == "done", 5.0
+            )
+        finally:
+            supervisor.stop(grace_s=5)
+
+    def test_retry_backoff_ends_the_wait(self, store, queue, monkeypatch):
+        """A job re-queued after a retryable failure runs when its
+        backoff runs out, not at the runner's next poll."""
+        crashed_at = []
+
+        def flaky(scenario, ctx, **kw):
+            if not crashed_at:
+                crashed_at.append(time.monotonic())
+                raise WorkerCrash("injected worker death")
+            return _StubResult()
+
+        monkeypatch.setattr("repro.service.supervisor.run_scenario", flaky)
+        supervisor = Supervisor(store, worker_id="w", poll_s=60.0).start()
+        try:
+            job, _ = queue.enqueue(TINY.to_json())
+            assert wait_until(
+                lambda: queue.get(job["id"])["state"] == "done", 5.0
+            ), queue.get(job["id"])
+            took = time.monotonic() - crashed_at[0]
+            assert took < retry_backoff_s(1) + 0.3, took
+            assert queue.get(job["id"])["attempts"] == 2
+        finally:
+            supervisor.stop(grace_s=5)
+
+
+class TestMemoryTier:
+    def test_many_jobs_leave_the_tier_bounded(self, store, queue):
+        """A supervisor's store (opened without ``memory=``) keeps its
+        memory tier at the bound however many jobs it runs."""
+        for i in range(300):
+            # ``units`` changes the space and frontier artifact keys.
+            queue.enqueue(TINY.with_(units=1e3 * (i + 1)).to_json())
+        assert Supervisor(store, worker_id="w").run_until_idle() == 300
+        assert 0 < len(store.memory) <= MEMORY_TIER_ENTRIES
