@@ -666,10 +666,22 @@ def _evaluate_rows(
     )
 
 
+def _group_grids(
+    group_specs: Sequence[GroupSpec],
+    params: Mapping[str, NodeModelParams],
+) -> List[_SettingGrid]:
+    """Every group's :func:`_setting_grid`, in group order."""
+    return [
+        _setting_grid(gs.spec, _params_for(params, gs.spec.name), gs.settings)
+        for gs in group_specs
+    ]
+
+
 def evaluate_space_groups(
     group_specs: Sequence[GroupSpec],
     params: Mapping[str, NodeModelParams],
     units: float,
+    grids: Optional[Sequence[_SettingGrid]] = None,
 ) -> ConfigSpaceResult:
     """Evaluate a k-group configuration space, vectorized.
 
@@ -679,6 +691,8 @@ def evaluate_space_groups(
     (presence-mask blocks from all-present down to each single group),
     which tests rely on.  ``params`` maps node-type name to model
     inputs; a missing type raises a :class:`ValueError` naming it.
+    ``grids`` are the groups' :func:`_group_grids`, built here when
+    omitted -- a streamed run builds them once for all its blocks.
     """
     if units <= 0:
         raise ValueError("job must contain positive work")
@@ -695,10 +709,8 @@ def evaluate_space_groups(
                 "have distinct node-type names, or their params lookups "
                 "would silently shadow each other"
             )
-    grids = [
-        _setting_grid(gs.spec, _params_for(params, gs.spec.name), gs.settings)
-        for gs in group_specs
-    ]
+    if grids is None:
+        grids = _group_grids(group_specs, params)
     counts = [_normalize_counts(gs.counts, gs.max_nodes) for gs in group_specs]
     pos = [c[c > 0] for c in counts]
 

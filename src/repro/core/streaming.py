@@ -130,15 +130,17 @@ def evaluate_block_task(
     params: Mapping[str, NodeModelParams],
     units: float,
     task_counts: Tuple[Tuple[int, ...], ...],
+    grids: Optional[Sequence[Any]] = None,
 ) -> ConfigSpaceResult:
-    """Evaluate one :class:`BlockTask` (top-level, so pools can pickle it)."""
+    """Evaluate one :class:`BlockTask` (top-level, so pools can pickle it);
+    ``grids`` are the whole space's setting grids, built when omitted."""
     import dataclasses
 
     adjusted = tuple(
         dataclasses.replace(gs, counts=counts)
         for gs, counts in zip(group_specs, task_counts)
     )
-    return _evaluate.evaluate_space_groups(adjusted, params, units)
+    return _evaluate.evaluate_space_groups(adjusted, params, units, grids=grids)
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,12 @@ def iter_space_blocks(
             "no configurations to evaluate: the count lists admit neither a "
             "heterogeneous nor a homogeneous block"
         )
+    grids = _evaluate._group_grids(group_specs, params)
     start = 0
     for index, task in enumerate(tasks):
-        data = evaluate_block_task(group_specs, params, units, task.counts)
+        data = evaluate_block_task(
+            group_specs, params, units, task.counts, grids=grids
+        )
         yield SpaceBlock(index=index, start_row=start, data=data)
         start += len(data)
 

@@ -130,13 +130,21 @@ class CheckpointManager:
             raise CheckpointCorrupt("payload is not a checkpoint record")
         return decoded
 
-    def load(self, plan_fingerprint: Optional[str] = None) -> Optional[Dict[str, Any]]:
+    def load(
+        self,
+        plan_fingerprint: Optional[str] = None,
+        search_stream: Optional[int] = None,
+    ) -> Optional[Dict[str, Any]]:
         """The saved state, or ``None`` when absent/corrupt/mismatched.
 
         ``plan_fingerprint``, when given, must equal the fingerprint the
         state was saved under -- a mismatch means the block plan changed
         (different worker count or memory budget) and the checkpoint's
         block indices no longer line up, so it is invalidated.
+        ``search_stream``, when given, must equal the search draw-stream
+        version the state was saved under (states from before the
+        version existed count as version 1); another version's state
+        would resume a different search, so it is invalidated too.
         """
         try:
             raw = self.path.read_bytes()
@@ -173,6 +181,15 @@ class CheckpointManager:
                 "checkpoint.invalidated",
                 path=str(self.path),
                 reason="block plan changed (workers or memory budget)",
+            )
+            return None
+        saved_stream = state.get("search_stream", 1)
+        if search_stream is not None and saved_stream != search_stream:
+            self._emit(
+                "checkpoint.invalidated",
+                path=str(self.path),
+                reason=f"search stream version {saved_stream} "
+                f"!= {search_stream}",
             )
             return None
         self._emit(

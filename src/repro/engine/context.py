@@ -46,6 +46,7 @@ from repro.engine.hashing import stable_hash
 from repro.engine.resilience import ResiliencePolicy
 from repro.hardware import catalog as _catalog
 from repro.hardware.specs import NodeSpec
+from repro.search.agents import SEARCH_STREAM
 from repro.simulator.noise import CALIBRATED_NOISE, NoiseModel
 from repro.util.rng import RngStream, SeedLike
 from repro.workloads import suite as _suite
@@ -60,9 +61,11 @@ _SEARCH_PARALLEL_ROWS = 8192
 
 
 def _plain_search_key(search: Mapping[str, Any], seed: int) -> Tuple:
-    """A search config as a deterministic, content-addressable tuple."""
+    """A search config and the agents' draw-stream version, as a
+    deterministic, content-addressable tuple."""
     options = dict(search.get("options") or {})
     return (
+        SEARCH_STREAM,
         str(search.get("strategy", "random")),
         None if search.get("budget_rows") is None else int(search["budget_rows"]),
         None if search.get("batch_rows") is None else int(search["batch_rows"]),
@@ -500,7 +503,7 @@ class RunContext:
         and restore the whole search loop bit-identically.
         """
         from repro.search import SearchSpace, make_source, run_search
-        from repro.search.evaluator import _eval_candidate_chunk
+        from repro.search.evaluator import CandidateGrids, _eval_candidate_chunk
 
         group_specs = tuple(
             gs if isinstance(gs, GroupSpec) else GroupSpec(*gs)
@@ -519,12 +522,13 @@ class RunContext:
                 budget = max(1, int(0.05 * space.total_rows))
             batch_rows = int(search.get("batch_rows") or 4096)
             source = make_source(strategy, space, seed, options)
+            grids = CandidateGrids.build(group_specs, params)
 
             def evaluate_fn(n, cores, f):
                 rows = n.shape[1]
                 if rows <= _SEARCH_PARALLEL_ROWS:
                     return _eval_candidate_chunk(
-                        (group_specs, params, units, n, cores, f)
+                        (group_specs, params, units, n, cores, f, grids)
                     )
                 step = _SEARCH_PARALLEL_ROWS // 4
                 chunks = [
@@ -533,6 +537,7 @@ class RunContext:
                         n[:, lo:lo + step],
                         cores[:, lo:lo + step],
                         f[:, lo:lo + step],
+                        grids,
                     )
                     for lo in range(0, rows, step)
                 ]

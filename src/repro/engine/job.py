@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.core.configuration import GroupSpec
-from repro.core.evaluate import ConfigSpaceResult
+from repro.core.evaluate import ConfigSpaceResult, _group_grids
 from repro.core.params import NodeModelParams
 from repro.core.streaming import (
     SpaceBlock,
@@ -59,7 +59,9 @@ class SpaceJob:
 
     ``task_counts[i]`` is block ``i``'s per-group count tuple (the shape
     :func:`~repro.core.streaming.evaluate_block_task` consumes) and
-    ``starts[i]`` its global row offset.  ``reduce`` is ``None`` when
+    ``starts[i]`` its global row offset.  ``grids`` are the groups'
+    setting grids, built once per fan-out and shared by every block.
+    ``reduce`` is ``None`` when
     tasks return raw columns, or the keyword mapping for
     :func:`~repro.core.streaming.fold_block_reduction` (``queueing``)
     when each task folds its own block.
@@ -71,6 +73,7 @@ class SpaceJob:
     units: float
     task_counts: Tuple[Tuple[Tuple[int, ...], ...], ...]
     starts: Tuple[int, ...]
+    grids: Tuple[Any, ...]
     reduce: Optional[Mapping[str, Any]] = None
 
 
@@ -117,7 +120,8 @@ def run_block(job_id: str, index: int) -> Any:
     """
     job = get_job(job_id)
     data: ConfigSpaceResult = evaluate_block_task(
-        job.group_specs, job.params, job.units, job.task_counts[index]
+        job.group_specs, job.params, job.units, job.task_counts[index],
+        grids=job.grids,
     )
     if job.reduce is None:
         return data
@@ -143,5 +147,6 @@ def build_job(
         units=float(units),
         task_counts=tuple(t.counts for t in tasks),
         starts=tuple(starts),
+        grids=tuple(_group_grids(group_specs, params)),
         reduce=None if reduce is None else dict(reduce),
     )

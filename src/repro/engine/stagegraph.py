@@ -43,6 +43,7 @@ from repro.core.pareto import ParetoFrontier
 from repro.core.streaming import ReducedSpace, composition_labels, solo_groups
 from repro.engine.hashing import stable_hash
 from repro.engine.scenario import Scenario
+from repro.search.agents import SEARCH_STREAM
 from repro.hardware.specs import NodeSpec
 from repro.simulator.noise import CALIBRATED_NOISE, NoiseModel
 from repro.workloads.base import WorkloadSpec
@@ -241,13 +242,15 @@ def build_stage_plan(scenario: Scenario, ctx) -> StagePlan:
     )
     # An active search IS part of the space-content identity -- a
     # sampled frontier is approximate, so it must never alias the
-    # exhaustive artifact (or a differently-budgeted sample).
-    # Exhaustive scenarios hash exactly as before the search layer existed.
+    # exhaustive artifact (or a differently-budgeted sample) -- and so
+    # is the agents' draw-stream version, which decides the rows it
+    # samples.  Exhaustive scenarios hash exactly as before the search
+    # layer existed.
     content_token: Tuple = (
         "stage:space-content", tuple(sorted(cal_ids.items())), axes, plan.units,
     )
     if scenario.search_active:
-        content_token = content_token + (scenario.search_config(),)
+        content_token = content_token + (scenario.search_config(), SEARCH_STREAM)
     space_content_id = stable_hash(content_token)
     plan.space_content_id = space_content_id
 

@@ -7,8 +7,9 @@ through the :class:`repro.core.candidates.CandidateSource` protocol
 instead of sweeping it:
 
 * :mod:`repro.search.space` -- the genome view of a k-group space
-  (per-group ``(count, setting)`` indices with admissible presence
-  masks) that every agent proposes over;
+  (one packed ``int64`` code per configuration, mixing per-group
+  ``(count, setting)`` gene codes, with admissible presence masks) that
+  every agent proposes over, as arrays;
 * :mod:`repro.search.evaluator` -- evaluate explicit candidate rows
   through the exact vectorized arithmetic of
   :func:`repro.core.evaluate.evaluate_space_groups` (same config, same
@@ -25,13 +26,20 @@ instead of sweeping it:
   stages.
 """
 
-from repro.search.agents import AnnealingSource, GeneticSource, RandomWalkSource, make_source
+from repro.search.agents import (
+    SEARCH_STREAM,
+    AnnealingSource,
+    GeneticSource,
+    RandomWalkSource,
+    make_source,
+)
 from repro.search.driver import SearchedSpace, run_search
 from repro.search.evaluator import evaluate_candidate_rows
 from repro.search.space import SearchSpace
 from repro.search.trajectory import SearchRound, SearchTrajectory
 
 __all__ = [
+    "SEARCH_STREAM",
     "AnnealingSource",
     "GeneticSource",
     "RandomWalkSource",

@@ -9,7 +9,8 @@ are bit-identical to the materialized oracles
 built only on first read, with the materialized columns' bits; the
 executor's block iterator matches the chunked evaluation, spill
 round-trips the full space, the retired ``space_mode`` stays out of the
-cache identity, and the ``space.memory`` accounting events fire.
+cache identity, the ``space.memory`` accounting events fire, and a
+streamed run builds each group's setting grid once, not once per block.
 """
 
 import numpy as np
@@ -352,3 +353,37 @@ class TestReducerCheckpointState:
                 consumers=(Opaque(),),
                 checkpoint_save=lambda state: None,
             )
+
+
+class TestSettingGridsBuiltOnce:
+    """A streamed run builds each group's setting grid once, not per block."""
+
+    @pytest.fixture
+    def grid_builds(self, monkeypatch):
+        from repro.core import evaluate
+
+        calls = []
+        real = evaluate._setting_grid
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "_setting_grid", counting)
+        return calls
+
+    def test_serial_block_source(self, grid_builds):
+        from repro.core.streaming import iter_space_blocks
+
+        blocks = list(iter_space_blocks(GROUPS, PARAMS, UNITS, max_block_rows=4096))
+        assert len(blocks) == 3
+        assert sorted(grid_builds) == sorted(g.spec.name for g in GROUPS)
+
+    def test_executor_stream(self, grid_builds):
+        blocks = list(
+            iter_space_groups_chunked(
+                GROUPS, PARAMS, UNITS, max_workers=1, backend="serial"
+            )
+        )
+        assert len(blocks) == 3
+        assert sorted(grid_builds) == sorted(g.spec.name for g in GROUPS)

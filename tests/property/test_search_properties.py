@@ -1,6 +1,6 @@
-"""Search-layer properties: exhaustive invisibility and agent recall.
+"""Search-layer properties: exhaustive invisibility, agent recall, codes.
 
-Two contracts.  First, :class:`~repro.core.candidates.ExhaustiveSource`
+Three contracts.  First, :class:`~repro.core.candidates.ExhaustiveSource`
 is the *same computation* as the monolithic evaluator -- its proposal
 stream concatenates to bit-identical ``(n, cores, f)`` columns on any
 2-/3-type space at any batch size, so refactoring enumeration behind
@@ -9,11 +9,13 @@ artifact anywhere.  Second, every search agent driven by
 :func:`~repro.search.driver.run_search` reaches 100% frontier recall
 whenever the budget covers the space (the completion-sweep guarantee),
 and the GA finds the full frontier of a cheap space well under full
-budget at a pinned seed.
+budget at a pinned seed.  Third, on any small space the packed genome
+codes stay admissible under every array move, round-trip through
+decode/encode, and dedup exactly as ``(n, cores, f)`` tuple keys do.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.calibration import ground_truth_params
@@ -24,7 +26,9 @@ from repro.core.pareto import ParetoFrontier
 from repro.hardware.catalog import AMD_K10, ARM_CORTEX_A9
 from repro.hardware.extension import INTEL_ATOM
 from repro.search import GeneticSource, SearchSpace, make_source, run_search
+from repro.search.space import first_occurrences
 from repro.search.trajectory import frontier_key_set
+from tests.search.test_agents import _is_single_gene_move
 from repro.workloads.extension import with_atom
 from repro.workloads.suite import EP
 
@@ -157,3 +161,69 @@ class TestAgentRecall:
             space=space,
         )
         assert frontier_key_set(searched.frontier) <= all_points
+
+
+group_counts = st.one_of(
+    st.none(),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+)
+
+
+@st.composite
+def small_spaces(draw):
+    """A 2- or 3-type space; count lists may forbid or force absence."""
+    specs = (ARM_CORTEX_A9, AMD_K10, INTEL_ATOM)[: draw(st.integers(2, 3))]
+    groups = tuple(
+        GroupSpec(spec, draw(st.integers(1, 2)), counts=draw(group_counts))
+        for spec in specs
+    )
+    try:
+        return SearchSpace(groups)
+    except ValueError:  # the count lists admit no configuration
+        assume(False)
+
+
+class TestGenomeCodes:
+    @given(space=small_spaces(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_moves_and_repair_stay_admissible(self, space, seed):
+        rng = np.random.default_rng(seed)
+        codes = space.random_codes(rng, 64)
+        assert space.admissible(codes).all()
+        moved = space.neighbor_codes(codes, rng)
+        assert space.admissible(moved).all()
+        for a, b in zip(space.genes(codes), space.genes(moved)):
+            # Only a one-row space leaves a row without a move.
+            assert space.total_rows == 1 or _is_single_gene_move(
+                space, a, b, wake_any=True
+            )
+        neighbors = space.neighborhood(codes[:8])
+        assert space.admissible(neighbors).all()
+        genes = rng.integers(space.radix, size=(64, space.num_groups))
+        assert space.admissible(space.repair_codes(genes, rng)).all()
+        n, cores, f = space.decode(codes)
+        np.testing.assert_array_equal(space.encode(n, cores, f), codes)
+
+    @given(space=small_spaces(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_code_dedup_matches_tuple_keys(self, space, seed):
+        rng = np.random.default_rng(seed)
+        pool = space.random_codes(rng, 12)
+        codes = pool[rng.integers(pool.size, size=40)]
+        seen = np.unique(pool[rng.integers(pool.size, size=4)])
+
+        def keys(c):
+            n, cores, f = space.decode(c)
+            return list(zip(
+                map(tuple, n.T.tolist()),
+                map(tuple, cores.T.tolist()),
+                map(tuple, f.T.tolist()),
+            ))
+
+        seen_keys = set(keys(seen))
+        first_of = {}
+        expected = [
+            i for i, k in enumerate(keys(codes))
+            if k not in seen_keys and first_of.setdefault(k, i) == i
+        ]
+        assert first_occurrences(codes, seen).tolist() == expected

@@ -1,9 +1,10 @@
 """The candidate evaluator: exhaustive bits for any row set, loud on bad rows.
 
 Candidate rows are grouped by packed presence pattern and their
-settings looked up once per distinct ``(cores, f)`` pair; neither may
-change a single bit against the exhaustive evaluator, whatever the row
-order, duplication or pattern mix of the batch.
+settings looked up in the search's once-built grids; neither may change
+a single bit against the exhaustive evaluator, whatever the row order,
+duplication or pattern mix of the batch, and a whole search builds each
+group's setting grid once.
 """
 
 import numpy as np
@@ -95,3 +96,33 @@ def test_row_without_present_group_rejected():
     specs, params = CASES["two_type"]
     with pytest.raises(ValueError, match="at least one present group"):
         _one_row(specs, params, 1, 1.0, n_a=0, n_b=0)
+
+
+@pytest.mark.parametrize("through", ["driver", "engine"])
+def test_a_search_builds_each_setting_grid_once(monkeypatch, through):
+    from repro.core import evaluate
+    from repro.engine import RunContext
+    from repro.search import SearchSpace, make_source, run_search
+
+    specs, params = CASES["two_type"]
+    calls = []
+    real = evaluate._setting_grid
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.name)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_setting_grid", counting)
+    search = {"strategy": "ga", "budget_rows": 400, "batch_rows": 64}
+    if through == "driver":
+        space = SearchSpace(specs)
+        searched = run_search(
+            specs, params, UNITS, source=make_source("ga", space, 0),
+            budget_rows=400, batch_rows=64, space=space,
+        )
+    else:
+        searched = RunContext(seed=0).space_searched(
+            specs, params, UNITS, search
+        )
+    assert len(searched.trajectory.rounds) > 3
+    assert sorted(calls) == sorted(gs.spec.name for gs in specs)
